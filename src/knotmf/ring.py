@@ -270,16 +270,24 @@ class LaurentPoly:
         return self.registry == other.registry and self.terms == other.terms
 
     def __hash__(self):
+        # constants compare equal to their Fraction value, so hash as it
+        if len(self.terms) <= 1 and self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self.terms.items()))
 
     # -- division and substitution ------------------------------------
 
-    def exact_div(self, divisor: "LaurentPoly",
-                  effort: int | None = None) -> "LaurentPoly | None":
+    def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
         """Exact quotient self/divisor, or None if it does not divide.
 
         Works for Laurent polynomials by clearing monomial units first; the
-        division loop is plain lead-term reduction by the single divisor.
+        division loop is plain lead-term reduction by the single divisor in
+        lex order.  If the division is exact, exponent ranges add under the
+        product, so every quotient exponent lies in the box
+        [min_n - min_d, max_n - max_d] in each variable; the first lead
+        quotient exponent outside it proves "does not divide".  The lead
+        quotient exponents strictly decrease in lex order inside that finite
+        box, so the box also bounds the loop.
         """
         self._check(divisor)
         if divisor.is_zero():
@@ -292,37 +300,27 @@ class LaurentPoly:
                 tuple(a - b for a, b in zip(e, e0)): c / c0
                 for e, c in self.terms.items()})
 
-        # Necessary condition: the exponent span of the dividend dominates
-        # the divisor's span in every variable (spans add under products).
-        spans = 1
+        box = []
         for i in range(self.registry.nvars):
             exps_n = [e[i] for e in self.terms]
             exps_d = [e[i] for e in divisor.terms]
-            span_n = max(exps_n) - min(exps_n)
-            span_d = max(exps_d) - min(exps_d)
-            if span_n < span_d:
+            lo, hi = min(exps_n) - min(exps_d), max(exps_n) - max(exps_d)
+            if lo > hi:
                 return None
-            if span_d or span_n:
-                spans *= span_n - span_d + 1
+            box.append((lo, hi))
 
         le = max(divisor.terms)  # lex leads are multiplicative
         lc = divisor.terms[le]
         rest = [(e, c) for e, c in divisor.terms.items() if e != le]
         remainder = dict(self.terms)
         q_terms: dict[tuple[int, ...], Fraction] = {}
-        # In the Laurent setting a failed division descends forever, so the
-        # loop is bounded: exact quotients of the sizes seen here fit well
-        # within it, anything longer reports "does not divide".
-        if effort is None:
-            effort = 8 * len(self.terms) + 512
-        effort = min(effort, 4 * spans + 64)
-        for _ in range(effort):
-            if not remainder:
-                return LaurentPoly._raw(self.registry, q_terms)
+        while remainder:
             re = max(remainder)
             qe = tuple(a - b for a, b in zip(re, le))
+            if any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
+                return None
             qc = remainder.pop(re) / lc
-            q_terms[qe] = q_terms.get(qe, QQ(0)) + qc
+            q_terms[qe] = qc
             for e, c in rest:
                 k = tuple(a + b for a, b in zip(qe, e))
                 s = remainder.get(k)
@@ -331,10 +329,7 @@ class LaurentPoly:
                     remainder.pop(k, None)
                 else:
                     remainder[k] = s
-        return None
-
-    def divides(self, other: "LaurentPoly") -> bool:
-        return other.exact_div(self) is not None
+        return LaurentPoly._raw(self.registry, q_terms)
 
     def substitute(self, images: Mapping[str, "LaurentPoly"],
                    target: VarRegistry | None = None) -> "LaurentPoly":

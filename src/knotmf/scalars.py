@@ -5,6 +5,9 @@ Three layers:
 * ``Scalar`` -- Laurent polynomials in (q, a) divided by powers of the two
   atoms s = q - 1/q and u = 1 - 1/a^2.  The Markov trace never produces any
   other denominator, so reduction is exact division by atoms, no general gcd.
+  Both atoms are a unit times X - 1 with X = q^2 or a^2, so division by one
+  is a slice-sum test plus synthetic division (``_div_atom``): linear in the
+  terms and the quotient, never a guess, and the reduced form is canonical.
 * ``RationalFunc1`` -- univariate rational functions with exact series
   expansion and simple-pole residues.
 * ``RatFunc`` -- multivariate rational functions with a factored denominator
@@ -28,6 +31,36 @@ def qa_poly(terms: Mapping[tuple[int, int], Fraction]) -> LaurentPoly:
 
 S_ATOM = qa_poly({(1, 0): QQ(1), (-1, 0): QQ(-1)})       # q - q^-1
 U_ATOM = qa_poly({(0, 0): QQ(1), (0, -2): QQ(-1)})       # 1 - a^-2
+
+
+def _div_atom(terms: Mapping[tuple[int, int], Fraction], var: int,
+              shift: int) -> dict[tuple[int, int], Fraction] | None:
+    """Exact quotient of a (q, a) term dict by x^-shift * (x^2 - 1), or None.
+
+    ``var`` is the index of x: s = q^-1 (q^2 - 1) is (0, 1) and
+    u = a^-2 (a^2 - 1) is (1, 2).  Multiplying by X - 1, X = x^2, keeps the
+    other variable's exponent and the parity of x's exponent, so the terms
+    split into slices by that pair, each a Laurent polynomial in X alone.  A
+    slice is divisible by X - 1 iff its coefficients sum to 0; then the
+    quotient's coefficient at x^f is the sum of the slice's coefficients at
+    exponents above f, times the unit x^shift.  None means the atom provably
+    does not divide.
+    """
+    slices: dict[tuple[int, int], list] = {}
+    for e, c in terms.items():
+        slices.setdefault((e[1 - var], e[var] & 1), []).append((e[var], c))
+    if any(sum(c for _, c in items) for items in slices.values()):
+        return None
+    out: dict[tuple[int, int], Fraction] = {}
+    for (other, _), items in slices.items():
+        items.sort(reverse=True)
+        acc = 0
+        for (e, c), (below, _) in zip(items, items[1:]):
+            acc += c
+            if acc:
+                for f in range(e - 2 + shift, below - 1 + shift, -2):
+                    out[(f, other) if var == 0 else (other, f)] = acc
+    return out
 
 
 class Scalar:
@@ -112,13 +145,6 @@ class Scalar:
             out = out * self
         return out
 
-    def div_by_atom(self, atom: str, k: int = 1) -> "Scalar":
-        if atom == "s":
-            return Scalar(self.num, self.s_exp + k, self.u_exp)
-        if atom == "u":
-            return Scalar(self.num, self.s_exp, self.u_exp + k)
-        raise ValueError("atom must be 's' or 'u'")
-
     def mul_monomial(self, q_exp: int = 0, a_exp: int = 0, coeff=1) -> "Scalar":
         return Scalar(self.num * qa_poly({(q_exp, a_exp): QQ(coeff)}),
                       self.s_exp, self.u_exp)
@@ -126,21 +152,27 @@ class Scalar:
     # -- normal form -------------------------------------------------------
 
     def reduce(self) -> "Scalar":
-        """Cancel atom powers that exactly divide the numerator."""
-        num, se, ue = self.num, self.s_exp, self.u_exp
-        if num.is_zero():
-            return Scalar(num, 0, 0)
-        while se > 0:
-            q = num.exact_div(S_ATOM)
-            if q is None:
+        """Cancel every atom power that divides the numerator.
+
+        Each step is ``_div_atom``: the numerator's slices by (other
+        exponent, parity) either all sum to 0 and the atom divides, or one
+        does not and it provably does not.  So the result is the canonical
+        form: equal scalars reduce to the same numerator and exponents.
+        """
+        terms, se, ue = self.num.terms, self.s_exp, self.u_exp
+        if not terms:
+            return Scalar(self.num, 0, 0)
+        while se:
+            t = _div_atom(terms, 0, 1)
+            if t is None:
                 break
-            num, se = q, se - 1
-        while ue > 0:
-            q = num.exact_div(U_ATOM)
-            if q is None:
+            terms, se = t, se - 1
+        while ue:
+            t = _div_atom(terms, 1, 2)
+            if t is None:
                 break
-            num, ue = q, ue - 1
-        return Scalar(num, se, ue)
+            terms, ue = t, ue - 1
+        return Scalar(LaurentPoly._raw(REG_QA, terms), se, ue)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -154,6 +186,8 @@ class Scalar:
 
     def __hash__(self):
         r = self.reduce()
+        if not (r.s_exp or r.u_exp):
+            return hash(r.num)  # so constants hash as their value
         return hash((r.num, r.s_exp, r.u_exp))
 
     def is_zero(self) -> bool:
@@ -171,13 +205,12 @@ class Scalar:
         num = self.num.evaluate({"q": q_val})
         if self.s_exp:
             num = num * (QQ(1) / s_val ** self.s_exp)
-        if self.u_exp:
-            for _ in range(self.u_exp):
-                q2 = num.exact_div(U_ATOM)
-                if q2 is None:
-                    raise ArithmeticError("u atom does not cancel")
-                num = q2
-        return num
+        terms = num.terms
+        for _ in range(self.u_exp):
+            terms = _div_atom(terms, 1, 2)
+            if terms is None:
+                raise ArithmeticError("u atom does not cancel")
+        return LaurentPoly._raw(REG_QA, terms)
 
     def __str__(self):
         den = []
@@ -384,7 +417,7 @@ class RatFunc:
     def _cancel(self):
         remaining = []
         for f in sorted(self.den, key=lambda p: (len(p.terms), str(p))):
-            q = self.num.exact_div(f, effort=8 * len(self.num.terms) + 512)
+            q = self.num.exact_div(f)
             if q is not None:
                 self.num = q
             else:
@@ -475,8 +508,9 @@ class RatFunc:
             rhs = rhs * f
         return lhs == rhs
 
-    def __hash__(self):
-        return hash(self.num) ^ hash(len(self.den))
+    # __eq__ cross-multiplies, so equal values can have different factor
+    # lists; no canonical form is cheap enough to hash.
+    __hash__ = None
 
     def is_zero(self):
         return self.num.is_zero()

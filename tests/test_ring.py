@@ -83,6 +83,10 @@ def test_exact_division():
     assert (x ** 2 - y ** 2).exact_div(x + 1) is None
     big = (1 - v("x", 37))
     assert big.exact_div(1 - x) is not None
+    # long exact quotients are found, not cut off by a step budget
+    assert (x ** 600 - 1).exact_div(x - 1) == sum(
+        (x ** k for k in range(1, 600)), LaurentPoly.const(REG, 1))
+    assert (x ** 600 - 2).exact_div(x - 1) is None
 
 
 def test_weight_grading():

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotmf.ring import LaurentPoly, QQ
 from knotmf.scalars import (REG_QA, RatFunc, RationalFunc1, S_ATOM, Scalar,
-                            U_ATOM, qa_poly)
+                            U_ATOM, _div_atom, qa_poly)
 
 
 def test_loop_value_times_z_is_a():
@@ -35,6 +35,64 @@ def test_reduce_preserves_value(c1, c2, i, j):
     s = Scalar(num * S_ATOM ** i * U_ATOM ** j, i, j)
     assert s.reduce() == s
     assert s.reduce().reduce() == s.reduce()
+
+
+@st.composite
+def qa_polys(draw, max_terms=5):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
+        terms[e] = QQ(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    return qa_poly(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qa_polys(), st.integers(0, 3), st.integers(0, 3))
+def test_reduce_is_canonical(p, i, j):
+    r = Scalar(p * S_ATOM ** i * U_ATOM ** j, i, j).reduce()
+    r0 = Scalar(p).reduce()
+    assert r.num == r0.num
+    assert (r.s_exp, r.u_exp) == (r0.s_exp, r0.u_exp) == (0, 0)
+    assert hash(r) == hash(Scalar(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qa_polys(), st.booleans(), st.booleans())
+def test_div_atom_matches_exact_div(p, use_u, multiply):
+    var, shift, atom = (1, 2, U_ATOM) if use_u else (0, 1, S_ATOM)
+    if multiply:
+        p = p * atom
+    quotient = _div_atom(p.terms, var, shift)
+    expected = p.exact_div(atom)
+    assert (quotient is None) == (expected is None)
+    if multiply:
+        assert quotient is not None
+    if quotient is not None:
+        assert LaurentPoly(REG_QA, quotient) == expected
+
+
+@pytest.mark.parametrize("num, s_exp, u_exp", [
+    (qa_poly({(1200, 0): QQ(1), (0, 0): QQ(-1)}), 1, 0),
+    (qa_poly({(0, 1200): QQ(1), (0, 0): QQ(-1)}), 0, 1),
+])
+def test_reduce_long_quotient(num, s_exp, u_exp):
+    # x^1200 - 1 = (x^2 - 1)(x^1198 + ... + 1): a 600-term quotient
+    s = Scalar(num, s_exp, u_exp)
+    r = s.reduce()
+    assert (r.s_exp, r.u_exp) == (0, 0)
+    assert len(r.num.terms) == 600
+    assert r == s and hash(r) == hash(s)
+
+
+def test_hash_agrees_with_eq():
+    one, zero = LaurentPoly.const(REG_QA, 1), LaurentPoly.zero(REG_QA)
+    assert one == 1 and hash(one) == hash(1)
+    assert zero == 0 and hash(zero) == hash(0)
+    assert Scalar.one() == 1 and hash(Scalar.one()) == hash(1)
+    f = qa_poly({(1, 0): QQ(1), (0, 0): QQ(1)})
+    assert RatFunc(one * f, [f], cancel=False) == RatFunc(one)
+    with pytest.raises(TypeError):
+        hash(RatFunc(one))
 
 
 def test_series_examples():
