@@ -13,13 +13,12 @@ import sys
 
 from .braid import parse_braid
 from .hecke import from_braid, homflypt
-from .localization import partitions_of, superpoly_jm, syt_enumerate
+from .localization import (RESIDUE_STRAND_CAP, SYT_STRAND_CAP, partitions_of,
+                           superpoly_jm, syt_enumerate)
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_GUARD = 0, 1, 2, 3
 
 HOMFLY_STRAND_CAP = 6
-RESIDUE_CAP = 4
-SYT_CAP = 8
 
 
 def _default_seed() -> int:
@@ -122,7 +121,7 @@ def _cmd_superpoly(args) -> int:
         print("error: --jm wants comma separated integers", file=sys.stderr)
         return EXIT_INPUT
     n = len(exponents) + 1
-    cap = RESIDUE_CAP if args.mode == "residue" else SYT_CAP
+    cap = RESIDUE_STRAND_CAP if args.mode == "residue" else SYT_STRAND_CAP
     if n > cap:
         print(f"error: {n} boxes exceeds the {args.mode} cap {cap}",
               file=sys.stderr)

@@ -80,12 +80,9 @@ class HeckeElement:
                 out[w] = s
 
         for wim, c in self.terms.items():
-            w = Permutation(wim)
-            ws = w.right_s(i)
-            if ws.length() > w.length():
-                acc(ws.images, c)
-            else:
-                acc(ws.images, c)
+            acc(Permutation(wim).right_s(i).images, c)
+            # l(w s_i) < l(w) exactly when w(i) > w(i+1): quadratic relation
+            if wim[i - 1] > wim[i]:
                 acc(wim, c * Q_S)
         return HeckeElement(self.n, out)
 
@@ -111,16 +108,6 @@ class HeckeElement:
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms)))
-
-    def embed(self, n_new: int) -> "HeckeElement":
-        """Inclusion H_n -> H_m adding fixed strands."""
-        if n_new < self.n:
-            raise ValueError("cannot shrink")
-        out = {}
-        pad = tuple(range(self.n, n_new))
-        for w, c in self.terms.items():
-            out[w + pad] = c
-        return HeckeElement(n_new, out)
 
     def __str__(self):
         if not self.terms:

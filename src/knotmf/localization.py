@@ -618,11 +618,6 @@ def markov_example_sigma1(sign: int, order: int = 12) -> dict[str, dict[int, Fra
     return h
 
 
-def free_polynomial_series(order: int) -> dict[int, Fraction]:
-    """q-series of 1/(1 - q^2) to the given order."""
-    return RationalFunc1({0: QQ(1)}, {0: QQ(1), 2: QQ(-1)}).series(order)
-
-
 # ---------------------------------------------------------------------------
 # Cross-check against the Markov trace invariant
 #

@@ -4,7 +4,7 @@ A Koszul factorization is a list of rows (a_i, b_i) with sum a_i b_i equal to
 the declared potential inside a (possibly det=1 reduced) coordinate ring.  The
 module provides construction, validation, tensor products, elementary theta
 transforms, row eliminations, rank-2 nilpotent Chevalley-Eilenberg homology,
-the scripted rank-2 convolution pipelines, and decategorified K-classes.
+the rank-2 convolution, and decategorified K-classes.
 """
 
 from __future__ import annotations
@@ -20,103 +20,70 @@ from .ring import LaurentPoly, QuotientReducer, VarRegistry, QQ
 # Registries.  Gradings: deg x = q^2, deg y = q^-2 t^-2, group entries
 # ungraded; character slots are (left, right) or (left, middle, right) Borel
 # weights of the *function*, with g_ij carrying +e_i on its source slot and
-# -e_j on its target slot.
+# -e_j on its target slot, y_k carrying (1, -1) on its slot, and x1 / xm1
+# carrying (1, -1) / (-1, 1) on slot 0.
 
-_X_SPECS = [
-    ("x0", 2, 0, ((0, 0), (0, 0))),
-    ("x1", 2, 0, ((1, -1), (0, 0))),
-    ("xm1", 2, 0, ((-1, 1), (0, 0))),
-]
-
+_X_CHARS = {"x0": (0, 0), "x1": (1, -1), "xm1": (-1, 1)}
+_E = {"1": (1, 0), "2": (0, 1)}
 _DET_LINE_2 = (1, 1, -1, -1)
 
-REG_X2 = VarRegistry.make(
-    _X_SPECS + [
-        ("y1", -2, -2, ((1, -1), (0, 0))),
-        ("y2", -2, -2, ((0, 0), (1, -1))),
-        ("a11", 0, 0, ((1, 0), (-1, 0))),
-        ("a12", 0, 0, ((1, 0), (0, -1))),
-        ("a21", 0, 0, ((0, 1), (-1, 0))),
-        ("a22", 0, 0, ((0, 1), (0, -1))),
-    ],
-    char_lines=[_DET_LINE_2],
-)
+
+def _neg(v):
+    return tuple(-x for x in v)
 
 
-def _slot3(spec, slot_of):
-    """Lift a 2-slot variable spec into the 3-slot convolution registry."""
-    name, qw, tw, (sl, sr) = spec
-    slots = {"l": (0, 0), "m": (0, 0), "r": (0, 0)}
-    slots[slot_of[0]] = sl
-    slots[slot_of[1]] = sr
-    return (name, qw, tw, (slots["l"], slots["m"], slots["r"]))
+def _chart(names: str, slots: dict, char_lines) -> VarRegistry:
+    """Registry on x0, x1, xm1 followed by ``names``, graded by the rule above.
+
+    ``slots`` maps each y name to its slot and each group letter to its
+    (source, target) slot pair; ``char_lines`` are the det directions,
+    flattened at two entries per slot.
+    """
+    width = len(char_lines[0]) // 2
+
+    def char(*placed):
+        out = [(0, 0)] * width
+        for slot, vec in placed:
+            out[slot] = vec
+        return tuple(out)
+
+    specs = [(n, 2, 0, char((0, c))) for n, c in _X_CHARS.items()]
+    for name in names.split():
+        if name[0] == "y":
+            specs.append((name, -2, -2, char((slots[name], (1, -1)))))
+        else:
+            src, tgt = slots[name[0]]
+            specs.append((name, 0, 0, char((src, _E[name[1]]),
+                                           (tgt, _neg(_E[name[2]])))))
+    return VarRegistry.make(specs, char_lines=char_lines)
 
 
-REG_CONV = VarRegistry.make(
-    [_slot3(s, "lm") for s in _X_SPECS] + [
-        _slot3(("y1", -2, -2, ((1, -1), (0, 0))), "lm"),
-        ("y2", -2, -2, ((0, 0), (1, -1), (0, 0))),
-        ("y3", -2, -2, ((0, 0), (0, 0), (1, -1))),
-        ("a11", 0, 0, ((1, 0), (-1, 0), (0, 0))),
-        ("a12", 0, 0, ((1, 0), (0, -1), (0, 0))),
-        ("a21", 0, 0, ((0, 1), (-1, 0), (0, 0))),
-        ("a22", 0, 0, ((0, 1), (0, -1), (0, 0))),
-        ("b11", 0, 0, ((0, 0), (1, 0), (-1, 0))),
-        ("b12", 0, 0, ((0, 0), (1, 0), (0, -1))),
-        ("b21", 0, 0, ((0, 0), (0, 1), (-1, 0))),
-        ("b22", 0, 0, ((0, 0), (0, 1), (0, -1))),
-    ],
-    char_lines=[(1, 1, -1, -1, 0, 0), (0, 0, 1, 1, -1, -1)],
-)
+REG_X2 = _chart("y1 y2 a11 a12 a21 a22", {"y1": 0, "y2": 1, "a": (0, 1)},
+                [_DET_LINE_2])
+
+REG_CONV = _chart(
+    "y1 y2 y3 a11 a12 a21 a22 b11 b12 b21 b22",
+    {"y1": 0, "y2": 1, "y3": 2, "a": (0, 1), "b": (1, 2)},
+    [(1, 1, -1, -1, 0, 0), (0, 0, 1, 1, -1, -1)])
 
 # After the middle y2 elimination and b -> a^-1 c substitution.
-REG_AC = VarRegistry.make(
-    [_slot3(s, "lm") for s in _X_SPECS] + [
-        _slot3(("y1", -2, -2, ((1, -1), (0, 0))), "lm"),
-        ("y3", -2, -2, ((0, 0), (0, 0), (1, -1))),
-        ("a11", 0, 0, ((1, 0), (-1, 0), (0, 0))),
-        ("a12", 0, 0, ((1, 0), (0, -1), (0, 0))),
-        ("a21", 0, 0, ((0, 1), (-1, 0), (0, 0))),
-        ("a22", 0, 0, ((0, 1), (0, -1), (0, 0))),
-        ("c11", 0, 0, ((1, 0), (0, 0), (-1, 0))),
-        ("c12", 0, 0, ((1, 0), (0, 0), (0, -1))),
-        ("c21", 0, 0, ((0, 1), (0, 0), (-1, 0))),
-        ("c22", 0, 0, ((0, 1), (0, 0), (0, -1))),
-    ],
-    char_lines=[(1, 1, -1, -1, 0, 0)],
-)
+REG_AC = _chart("y1 y3 a11 a12 a21 a22 c11 c12 c21 c22",
+                {"y1": 0, "y3": 2, "a": (0, 1), "c": (0, 2)},
+                [(1, 1, -1, -1, 0, 0)])
 
-# Mirror chart keeping b as the middle after a -> c b^-1 substitution.
-REG_CB = VarRegistry.make(
-    [_slot3(s, "lm") for s in _X_SPECS] + [
-        _slot3(("y1", -2, -2, ((1, -1), (0, 0))), "lm"),
-        ("y3", -2, -2, ((0, 0), (0, 0), (1, -1))),
-        ("b11", 0, 0, ((0, 0), (1, 0), (-1, 0))),
-        ("b12", 0, 0, ((0, 0), (1, 0), (0, -1))),
-        ("b21", 0, 0, ((0, 0), (0, 1), (-1, 0))),
-        ("b22", 0, 0, ((0, 0), (0, 1), (0, -1))),
-        ("c11", 0, 0, ((1, 0), (0, 0), (-1, 0))),
-        ("c12", 0, 0, ((1, 0), (0, 0), (0, -1))),
-        ("c21", 0, 0, ((0, 1), (0, 0), (-1, 0))),
-        ("c22", 0, 0, ((0, 1), (0, 0), (0, -1))),
-    ],
-    char_lines=[(0, 0, 1, 1, -1, -1)],
-)
+# The triangular middle charts of the unit pipelines: a21 = 0 (identity on
+# the left, b -> a^-1 c) and b21 = 0 (identity on the right, a -> c b^-1).
+REG_ACT = _chart("y1 y3 a11 a12 a22 c11 c12 c21 c22",
+                 {"y1": 0, "y3": 2, "a": (0, 1), "c": (0, 2)},
+                 [(1, 1, -1, -1, 0, 0), (1, 1, 0, 0, -1, -1)])
+
+REG_CBT = _chart("y1 y3 b11 b12 b22 c11 c12 c21 c22",
+                 {"y1": 0, "y3": 2, "b": (1, 2), "c": (0, 2)},
+                 [(0, 0, 1, 1, -1, -1), (1, 1, 0, 0, -1, -1)])
 
 # Output chart of the convolution, isomorphic to REG_X2 with c, y3 names.
-REG_OUT = VarRegistry.make(
-    _X_SPECS + [
-        ("y1", -2, -2, ((1, -1), (0, 0))),
-        ("y3", -2, -2, ((0, 0), (1, -1))),
-        ("c11", 0, 0, ((1, 0), (-1, 0))),
-        ("c12", 0, 0, ((1, 0), (0, -1))),
-        ("c21", 0, 0, ((0, 1), (-1, 0))),
-        ("c22", 0, 0, ((0, 1), (0, -1))),
-    ],
-    char_lines=[_DET_LINE_2],
-)
-
-NAMED_KINDS = ("C_par", "C_dot", "C_plus", "C_minus")
+REG_OUT = _chart("y1 y3 c11 c12 c21 c22", {"y1": 0, "y3": 1, "c": (0, 1)},
+                 [_DET_LINE_2])
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +187,6 @@ class GradedTwist:
 
 CHI1 = (1, 0)
 CHI2 = (0, 1)
-
-
-def _neg(v):
-    return tuple(-x for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +609,6 @@ def standard_presentation(kind: str, twist: GradedTwist | None = None) -> Koszul
                     "y1", "y2", red, twist)
 
 
-def out_presentation(kind: str, twist: GradedTwist | None = None) -> KoszulMF:
-    """Same objects in the output chart (c group variables, y1/y3)."""
-    red = QuotientReducer.det_one(REG_OUT, "c")
-    return named_mf(kind, REG_OUT, Mat2.traceless_x(REG_OUT), "c",
-                    "y1", "y3", red, twist)
-
-
 # ---------------------------------------------------------------------------
 # Rank-2 Chevalley-Eilenberg homology (nilpotent rank-1 derivation)
 #
@@ -746,34 +702,14 @@ def _kernel_and_image(cols: list[dict[int, Fraction]]):
     """Column-space elimination over Q.
 
     Returns (kernel combination vectors keyed by column index, pivot row set).
-    Pivot columns keep their minimal row as pivot, so reduction of a fresh
-    column strictly increases min(col) and terminates.
     """
     work: list[dict[int, Fraction]] = []
     combos: list[dict[int, Fraction]] = []
     pivots: dict[int, int] = {}
     kernel = []
     for j, col0 in enumerate(cols):
-        col = dict(col0)
-        combo = {j: QQ(1)}
-        while col:
-            r = min(col)
-            if r not in pivots:
-                break
-            k = pivots[r]
-            factor = col[r] / work[k][r]
-            for rr, vv in work[k].items():
-                nv = col.get(rr, QQ(0)) - factor * vv
-                if nv == 0:
-                    col.pop(rr, None)
-                else:
-                    col[rr] = nv
-            for cc, vv in combos[k].items():
-                nv = combo.get(cc, QQ(0)) - factor * vv
-                if nv == 0:
-                    combo.pop(cc, None)
-                else:
-                    combo[cc] = nv
+        col, combo = dict(col0), {j: QQ(1)}
+        _reduce_column(col, work, pivots, combo, combos)
         if col:
             pivots[min(col)] = len(work)
             work.append(col)
@@ -781,6 +717,34 @@ def _kernel_and_image(cols: list[dict[int, Fraction]]):
         else:
             kernel.append(combo)
     return kernel, set(pivots)
+
+
+def _reduce_column(col, work, pivots, combo=None, combos=None):
+    """Clear ``col`` in place against the pivot columns ``work``.
+
+    Pivot columns keep their minimal row as pivot, so each step strictly
+    increases min(col); the loop stops at the first row without a pivot.
+    With ``combo`` the same steps are applied to the combination vectors.
+    """
+    while col:
+        r = min(col)
+        if r not in pivots:
+            return
+        k = pivots[r]
+        factor = col[r] / work[k][r]
+        _sub_scaled(col, factor, work[k])
+        if combo is not None:
+            _sub_scaled(combo, factor, combos[k])
+
+
+def _sub_scaled(vec, factor, other):
+    """vec -= factor * other on sparse vectors, dropping zeros."""
+    for i, v in other.items():
+        nv = vec.get(i, QQ(0)) - factor * v
+        if nv == 0:
+            vec.pop(i, None)
+        else:
+            vec[i] = nv
 
 
 # ---------------------------------------------------------------------------
@@ -871,10 +835,9 @@ def extract_middle(chart: MiddleChart, mu: tuple[int, int],
     return hits
 
 
-def _certify_exact(chart: MiddleChart, f_poly: LaurentPoly, degree_bound: int):
+def _certify_exact(chart: MiddleChart, f: LaurentPoly, degree_bound: int):
     """Exhibit delta(g) = f, certifying the induced homology action is zero."""
     reg = chart.registry
-    f = f_poly
     if f.is_zero():
         return
     mid_idx = {reg.index(v) for v in chart.var_names}
@@ -911,79 +874,31 @@ def _solve_in_span(cols, target) -> bool:
     pivots: dict[int, int] = {}
     for col0 in cols:
         col = dict(col0)
-        while col:
-            r = min(col)
-            if r not in pivots:
-                break
-            k = pivots[r]
-            factor = col[r] / work[k][r]
-            for rr, vv in work[k].items():
-                nv = col.get(rr, QQ(0)) - factor * vv
-                if nv == 0:
-                    col.pop(rr, None)
-                else:
-                    col[rr] = nv
+        _reduce_column(col, work, pivots)
         if col:
             pivots[min(col)] = len(work)
             work.append(col)
     t = dict(target)
-    while t:
-        r = min(t)
-        if r not in pivots:
-            return False
-        col = work[pivots[r]]
-        factor = t[r] / col[r]
-        for rr, vv in col.items():
-            nv = t.get(rr, QQ(0)) - factor * vv
-            if nv == 0:
-                t.pop(rr, None)
-            else:
-                t[rr] = nv
-    return True
+    _reduce_column(t, work, pivots)
+    return not t
 
 
 # ---------------------------------------------------------------------------
-# Scripted rank-2 convolution pipelines
+# Rank-2 convolution: one skeleton, three middle steps
 #
-# Every step below is one of the validated operations above; the audit log
-# of the returned object replays the whole computation.  Charts:
-#   full middle:      a generic, b generic   (blob * blob)
-#   triangular left:  a21 = 0 chart          (identity braid on the left)
-#   triangular right: b21 = 0 chart          (identity braid on the right)
-# After the middle y2 elimination the group variables b (resp. a) are
-# rewritten through the composite c = a b, and the leftover middle
-# coordinates are contracted through the rank-1 Chevalley-Eilenberg step.
-
-REG_ACT = VarRegistry.make(
-    [_slot3(s, "lm") for s in _X_SPECS] + [
-        _slot3(("y1", -2, -2, ((1, -1), (0, 0))), "lm"),
-        ("y3", -2, -2, ((0, 0), (0, 0), (1, -1))),
-        ("a11", 0, 0, ((1, 0), (-1, 0), (0, 0))),
-        ("a12", 0, 0, ((1, 0), (0, -1), (0, 0))),
-        ("a22", 0, 0, ((0, 1), (0, -1), (0, 0))),
-        ("c11", 0, 0, ((1, 0), (0, 0), (-1, 0))),
-        ("c12", 0, 0, ((1, 0), (0, 0), (0, -1))),
-        ("c21", 0, 0, ((0, 1), (0, 0), (-1, 0))),
-        ("c22", 0, 0, ((0, 1), (0, 0), (0, -1))),
-    ],
-    char_lines=[(1, 1, -1, -1, 0, 0), (1, 1, 0, 0, -1, -1)],
-)
-
-REG_CBT = VarRegistry.make(
-    [_slot3(s, "lm") for s in _X_SPECS] + [
-        _slot3(("y1", -2, -2, ((1, -1), (0, 0))), "lm"),
-        ("y3", -2, -2, ((0, 0), (0, 0), (1, -1))),
-        ("b11", 0, 0, ((0, 0), (1, 0), (-1, 0))),
-        ("b12", 0, 0, ((0, 0), (1, 0), (0, -1))),
-        ("b22", 0, 0, ((0, 0), (0, 1), (0, -1))),
-        ("c11", 0, 0, ((1, 0), (0, 0), (-1, 0))),
-        ("c12", 0, 0, ((1, 0), (0, 0), (0, -1))),
-        ("c21", 0, 0, ((0, 1), (0, 0), (-1, 0))),
-        ("c22", 0, 0, ((0, 1), (0, 0), (0, -1))),
-    ],
-    char_lines=[(0, 0, 1, 1, -1, -1), (1, 1, 0, 0, -1, -1)],
-)
-
+# convolution_n2 runs a shared head (both factors on REG_CONV, tensor,
+# display "initial"), the middle step of its pair, and a shared tail
+# (display "final_split", outer rows moved to REG_OUT and matched with the
+# named result, middle coordinates contracted through the rank-1
+# Chevalley-Eilenberg step).  Every step is one of the validated operations
+# above; the audit log of the result replays the whole computation.  The
+# middle steps eliminate the middle y2 row and rewrite the group variables
+# b (resp. a) through the composite c = a b, each on its own chart:
+#   _middle_dot_dot:     full middle, a and b generic  (blob * blob)
+#   _middle_unit_left:   a21 = 0 chart                 (identity on the left)
+#   _middle_unit_right:  b21 = 0 chart                 (identity on the right)
+# Each returns (state, outer row indices, middle chart, leftover middle
+# differential or None).
 
 def _reducer_conv():
     return QuotientReducer.merge(QuotientReducer.det_one(REG_CONV, "a"),
@@ -995,20 +910,11 @@ def _reducer_ac():
                                  QuotientReducer.det_one(REG_AC, "c"))
 
 
-def _reducer_act():
-    one = LaurentPoly.const(REG_ACT, 1)
-    tri = QuotientReducer(REG_ACT, [({"a11": 1, "a22": 1}, one)])
-    return QuotientReducer.merge(tri, QuotientReducer.det_one(REG_ACT, "c"))
-
-
-def _reducer_cbt():
-    one = LaurentPoly.const(REG_CBT, 1)
-    tri = QuotientReducer(REG_CBT, [({"b11": 1, "b22": 1}, one)])
-    return QuotientReducer.merge(tri, QuotientReducer.det_one(REG_CBT, "c"))
-
-
-def _reducer_out():
-    return QuotientReducer.det_one(REG_OUT, "c")
+def _reducer_tri(reg: VarRegistry, g: str) -> QuotientReducer:
+    """g11 g22 = 1 on a triangular (g21 = 0) chart, with det c = 1."""
+    one = LaurentPoly.const(reg, 1)
+    tri = QuotientReducer(reg, [({f"{g}11": 1, f"{g}22": 1}, one)])
+    return QuotientReducer.merge(tri, QuotientReducer.det_one(reg, "c"))
 
 
 def _tw3(tw: GradedTwist, placement: str) -> GradedTwist:
@@ -1039,9 +945,6 @@ class ConvolutionResult:
     audit: list
     displays: dict[str, list[list[str]]] = field(default_factory=dict)
 
-    def summand_names(self) -> list[str]:
-        return [k for k, _ in self.summands]
-
     def report(self) -> dict:
         return {
             "product": f"{self.left_kind} * {self.right_kind}",
@@ -1057,11 +960,10 @@ def _conv_inputs(left_kind, right_kind, left_twist, right_twist):
     reg, red = REG_CONV, _reducer_conv()
     x = Mat2.traceless_x(reg)
     xp = x.conjugate_by_inverse(Mat2.group(reg, "a")).map_entries(red.normal_form)
-    lt = left_twist if left_twist is not None else GradedTwist.zero(2)
-    rt = right_twist if right_twist is not None else GradedTwist.zero(2)
-    left = named_mf(left_kind, reg, x, "a", "y1", "y2", red, _tw3(lt, "lm"))
-    right = named_mf(right_kind, reg, xp, "b", "y2", "y3", red, _tw3(rt, "mr"))
-    return reg, red, x, xp, left, right
+    lt = _tw3(left_twist or GradedTwist.zero(2), "lm")
+    rt = _tw3(right_twist or GradedTwist.zero(2), "mr")
+    return (named_mf(left_kind, reg, x, "a", "y1", "y2", red, lt),
+            named_mf(right_kind, reg, xp, "b", "y2", "y3", red, rt))
 
 
 def _b_images_full(target):
@@ -1101,20 +1003,15 @@ def _a_images_tri(target):
 
 def _outer_to_out(mf_obj: KoszulMF, row_indices, expect_kind: str):
     """Move the outer rows into REG_OUT and compare with the named target."""
-    images = {}
-    keep = {"x0", "x1", "xm1", "y1", "y3", "c11", "c12", "c21", "c22"}
-    for name in mf_obj.registry.names:
-        if name in keep:
-            images[name] = LaurentPoly.var(REG_OUT, name)
+    images = {name: LaurentPoly.var(REG_OUT, name)
+              for name in mf_obj.registry.names if name in REG_OUT.names}
     rows = []
     for i in row_indices:
         a, b = mf_obj.rows[i]
         rows.append((a.substitute(images, REG_OUT),
                      b.substitute(images, REG_OUT)))
-    red = _reducer_out()
-    pot = LaurentPoly.zero(REG_OUT)
-    for a, b in rows:
-        pot = pot + a * b
+    red = QuotientReducer.det_one(REG_OUT, "c")
+    pot = sum((a * b for a, b in rows), LaurentPoly.zero(REG_OUT))
     base = KoszulMF(REG_OUT, rows, pot, GradedTwist.zero(2), red,
                     name=f"{expect_kind}^out")
     target = named_mf(expect_kind, REG_OUT, Mat2.traceless_x(REG_OUT), "c",
@@ -1156,18 +1053,14 @@ def _chart_tri_b():
                        nf_lead=("b11", "b22"))
 
 
-def _summands(result_kind, s: KoszulMF, chart: MiddleChart,
-              f_mid: LaurentPoly | None):
-    mu = _middle_weight(s.twist)
-    hits = extract_middle(chart, mu, f_mid)
+def _summands(s: KoszulMF, chart: MiddleChart, f_mid: LaurentPoly | None):
+    """(outer twist, middle basis monomial) of each direct summand."""
     out = []
-    lt_outer = tuple(s.twist.chars[0])
-    rt_outer = tuple(s.twist.chars[2])
-    for h, left, right, k in hits:
-        tw = GradedTwist(s.twist.q_shift, s.twist.t_shift,
-                         (tuple(a + b for a, b in zip(left, lt_outer)),
-                          tuple(a + b for a, b in zip(right, rt_outer))))
-        out.append((result_kind, tw, str(h), k))
+    tw = s.twist
+    for h, left, right, _ in extract_middle(chart, _middle_weight(tw), f_mid):
+        chars = (tuple(a + b for a, b in zip(left, tw.chars[0])),
+                 tuple(a + b for a, b in zip(right, tw.chars[2])))
+        out.append((GradedTwist(tw.q_shift, tw.t_shift, chars), str(h)))
     return out
 
 
@@ -1181,31 +1074,42 @@ def convolution_n2(left_kind: str, right_kind: str,
     decategorified layer (see ktheory_identity / hecke module).
     """
     if (left_kind, right_kind) == ("C_dot", "C_dot"):
-        return _pipeline_dot_dot(left_twist, right_twist)
-    if left_kind == "C_par":
-        return _pipeline_unit_left(right_kind, left_twist, right_twist)
-    if right_kind == "C_par":
-        return _pipeline_unit_right(left_kind, left_twist, right_twist)
-    raise NotImplementedError(
-        f"convolution {left_kind} * {right_kind} is checked at K-class level")
-
-
-def _pipeline_dot_dot(left_twist, right_twist) -> ConvolutionResult:
-    reg, red, x, xp, left, right = _conv_inputs("C_dot", "C_dot",
-                                                left_twist, right_twist)
-    v = lambda n: LaurentPoly.var(reg, n)
+        middle = _middle_dot_dot
+    elif left_kind == "C_par":
+        middle = _middle_unit_left
+    elif right_kind == "C_par":
+        middle = _middle_unit_right
+    else:
+        raise NotImplementedError(
+            f"convolution {left_kind} * {right_kind} is checked at K-class level")
+    kind = right_kind if left_kind == "C_par" else left_kind
+    left, right = _conv_inputs(left_kind, right_kind, left_twist, right_twist)
     s = left.tensor(right)
     displays = {"initial": s.rows_repr()}
+    s, outer_rows, chart, f_mid = middle(s, kind, displays)
+    displays["final_split"] = s.rows_repr()
+    base = _outer_to_out(s, outer_rows, kind)
+    sums = _summands(s, chart, f_mid)
+    entry = {"op": "middle_contract", "params": {
+        "mu": list(_middle_weight(s.twist)),
+        "basis": [h for _, h in sums]},
+        "state": base.state_hash()}
+    return ConvolutionResult(left_kind, right_kind,
+                             [(kind, t) for t, _ in sums],
+                             base.rows_repr(), s.audit + [entry], displays)
 
+
+def _middle_dot_dot(s: KoszulMF, kind: str, displays: dict):
+    """blob * blob (``kind`` is C_dot): the full middle chart."""
+    v = lambda n: LaurentPoly.var(REG_CONV, n)
     s = s.row_transform(0, 1, -(v("a11") ** 2))
     s = s.row_transform(2, 3, -(v("b11") ** 2))
     displays["theta_cleared"] = s.rows_repr()
     # rows: (xm1, y1) (f_a, y2) (x'm1, y2) (f_b', y3); the middle y2 pair
     # cancels after one more transform because x'm1 = -f_a.
-    s = s.row_transform(1, 2, LaurentPoly.const(reg, 1))
+    s = s.row_transform(1, 2, LaurentPoly.const(REG_CONV, 1))
     displays["y2_isolated"] = s.rows_repr()
-    a2, b2 = s.rows[2]
-    if not (red.normal_form(a2).is_zero()):
+    if not s.reducer.normal_form(s.rows[2][0]).is_zero():
         raise AssertionError("middle row did not reduce to (0, y2)")
     s = s.eliminate_row(2, "coordinate", var="y2")
 
@@ -1215,105 +1119,63 @@ def _pipeline_dot_dot(left_twist, right_twist) -> ConvolutionResult:
     va = lambda n: LaurentPoly.var(REG_AC, n)
     s = s.row_transform(0, 1, va("a11") ** 2)
     s = s.row_transform(0, 2, va("c11") ** 2)
-    displays["final_split"] = s.rows_repr()
-
-    f_mid = s.rows[1][0]
     if not s.rows[1][1].is_zero():
         raise AssertionError("middle row is not (f, 0)")
-    base = _outer_to_out(s, [0, 2], "C_dot")
-    chart = _chart_full_a()
-    sums = _summands("C_dot", s, chart, f_mid)
-    entry = {"op": "middle_contract", "params": {
-        "mu": list(_middle_weight(s.twist)),
-        "basis": [h for _, _, h, _ in sums]},
-        "state": base.state_hash()}
-    audit = s.audit + [entry]
-    return ConvolutionResult("C_dot", "C_dot",
-                             [(k, t) for k, t, _, _ in sums],
-                             base.rows_repr(), audit, displays)
+    return s, [0, 2], _chart_full_a(), s.rows[1][0]
 
 
-def _pipeline_unit_left(right_kind, left_twist, right_twist) -> ConvolutionResult:
-    reg, red, x, xp, left, right = _conv_inputs("C_par", right_kind,
-                                                left_twist, right_twist)
-    v = lambda n: LaurentPoly.var(reg, n)
-    s = left.tensor(right)
-    displays = {"initial": s.rows_repr()}
+def _middle_unit_left(s: KoszulMF, kind: str, displays: dict):
+    """C_par * ``kind``: restrict to a21 = 0, then the a21 = 0 chart."""
+    v = lambda n: LaurentPoly.var(REG_CONV, n)
     # Row 1 is the pushforward row (y2 cf_a, a21) of the identity braid:
     # restrict to its zero locus a21 = 0.
     s = s.eliminate_row(1, "coordinate", var="a21", expect_zero_partner=False)
     s = s.row_transform(0, 1, -(v("a11") ** 2))
-    a1, _ = s.rows[1]
-    if not red.normal_form(a1).is_zero():
+    if not s.reducer.normal_form(s.rows[1][0]).is_zero():
         raise AssertionError("row (0, y2 - y3 b11^2) expected")
     s = s.eliminate_row(1, "coordinate", var="y2")
     displays["restricted"] = s.rows_repr()
 
-    s = s.substitute(_b_images_tri(REG_ACT), REG_ACT, _reducer_act())
+    s = s.substitute(_b_images_tri(REG_ACT), REG_ACT, _reducer_tri(REG_ACT, "a"))
     vt = lambda n: LaurentPoly.var(REG_ACT, n)
     kappa = vt("c11") - vt("a11") * vt("a12") * vt("c21")
-    if right_kind == "C_dot":
-        p = vt("c11") ** 2 - kappa ** 2
-        s = s.row_transform(0, 1, p)
-    elif right_kind == "C_par":
+    if kind == "C_dot":
+        s = s.row_transform(0, 1, vt("c11") ** 2 - kappa ** 2)
+    elif kind == "C_par":
         s = s.row_rescale(1, vt("a11"), vt("a22"))
-        p = vt("a11") * vt("a12") * (vt("c11") + kappa) * vt("y3")
-        s = s.row_transform(0, 1, p)
+        s = s.row_transform(0, 1, vt("a11") * vt("a12") * (vt("c11") + kappa)
+                            * vt("y3"))
     else:
-        raise NotImplementedError(right_kind)
-    displays["final_split"] = s.rows_repr()
-    base = _outer_to_out(s, [0, 1], right_kind)
-    sums = _summands(right_kind, s, _chart_tri_a(), None)
-    entry = {"op": "middle_contract", "params": {
-        "mu": list(_middle_weight(s.twist)),
-        "basis": [h for _, _, h, _ in sums]},
-        "state": base.state_hash()}
-    return ConvolutionResult("C_par", right_kind,
-                             [(k, t) for k, t, _, _ in sums],
-                             base.rows_repr(), s.audit + [entry], displays)
+        raise NotImplementedError(kind)
+    return s, [0, 1], _chart_tri_a(), None
 
 
-def _pipeline_unit_right(left_kind, left_twist, right_twist) -> ConvolutionResult:
-    reg, red, x, xp, left, right = _conv_inputs(left_kind, "C_par",
-                                                left_twist, right_twist)
-    v = lambda n: LaurentPoly.var(reg, n)
-    s = left.tensor(right)
-    displays = {"initial": s.rows_repr()}
+def _middle_unit_right(s: KoszulMF, kind: str, displays: dict):
+    """``kind`` * C_par: restrict to b21 = 0, then the b21 = 0 chart."""
+    v = lambda n: LaurentPoly.var(REG_CONV, n)
     s = s.eliminate_row(3, "coordinate", var="b21", expect_zero_partner=False)
     s = s.row_transform(0, 2, -(v("a11") ** 2))
-    if left_kind == "C_dot":
-        s = s.row_transform(1, 2, LaurentPoly.const(reg, 1))
-        swapped = False
-    elif left_kind == "C_par":
+    if kind == "C_dot":
+        s = s.row_transform(1, 2, LaurentPoly.const(REG_CONV, 1))
+    elif kind == "C_par":
         s = s.row_swap_parity(1)
-        cf_a = crossing_form(reg, "a", x)
+        cf_a = crossing_form(REG_CONV, "a", Mat2.traceless_x(REG_CONV))
         s = s.row_transform(1, 2, cf_a)
-        swapped = True
     else:
-        raise NotImplementedError(left_kind)
-    a2, _ = s.rows[2]
-    if not red.normal_form(a2).is_zero():
+        raise NotImplementedError(kind)
+    if not s.reducer.normal_form(s.rows[2][0]).is_zero():
         raise AssertionError("row (0, y2 - y3 b11^2) expected")
     s = s.eliminate_row(2, "coordinate", var="y2")
     displays["restricted"] = s.rows_repr()
 
-    s = s.substitute(_a_images_tri(REG_CBT), REG_CBT, _reducer_cbt())
+    s = s.substitute(_a_images_tri(REG_CBT), REG_CBT, _reducer_tri(REG_CBT, "b"))
     vt = lambda n: LaurentPoly.var(REG_CBT, n)
-    if left_kind == "C_dot":
+    if kind == "C_dot":
         s = s.row_rescale(1, vt("b11") ** 2, vt("b22") ** 2)
     else:
         s = s.row_rescale(1, vt("b11"), vt("b22"))
         s = s.row_swap_parity(1)
-    displays["final_split"] = s.rows_repr()
-    base = _outer_to_out(s, [0, 1], left_kind)
-    sums = _summands(left_kind, s, _chart_tri_b(), None)
-    entry = {"op": "middle_contract", "params": {
-        "mu": list(_middle_weight(s.twist)),
-        "basis": [h for _, _, h, _ in sums]},
-        "state": base.state_hash()}
-    return ConvolutionResult(left_kind, "C_par",
-                             [(k, t) for k, t, _, _ in sums],
-                             base.rows_repr(), s.audit + [entry], displays)
+    return s, [0, 1], _chart_tri_b(), None
 
 
 # ---------------------------------------------------------------------------
@@ -1440,11 +1302,6 @@ def ktheory_inverse_identity() -> bool:
     return g * g_inv == unit
 
 
-def ktheory_trivial_identity() -> bool:
-    k = kclass(standard_presentation("C_par"))
-    return kreduce(k) == kreduce(k)
-
-
 # ---------------------------------------------------------------------------
 # Verification suite (CLI `verify mf-suite`)
 
@@ -1564,8 +1421,6 @@ def verify_suite() -> dict:
             raise AssertionError("displayed K-identity failed")
         if ktheory_identity(perturb=True):
             raise AssertionError("negative control unexpectedly passed")
-        if not ktheory_trivial_identity():
-            raise AssertionError("trivial identity failed")
         if not ktheory_inverse_identity():
             raise AssertionError("crossing inverse identity failed")
 

@@ -172,14 +172,6 @@ class LaurentPoly:
                     used.add(self.registry.names[i])
         return used
 
-    def degree_in(self, name: str) -> tuple[int, int]:
-        """(min, max) exponent of the variable; (0, 0) if absent."""
-        i = self.registry.index(name)
-        exps = [e[i] for e in self.terms]
-        if not exps:
-            return (0, 0)
-        return (min(exps), max(exps))
-
     def coefficients_in(self, name: str) -> dict[int, "LaurentPoly"]:
         """Split into coefficient polynomials of powers of one variable."""
         i = self.registry.index(name)
@@ -548,8 +540,3 @@ class QuotientReducer:
 
     def equal(self, p: LaurentPoly, q: LaurentPoly) -> bool:
         return self.normal_form(p - q).is_zero()
-
-
-def plain_registry(*names: str) -> VarRegistry:
-    """Registry with no grading data, for generic scalar work."""
-    return VarRegistry.make([(n, 0, 0) for n in names])

@@ -519,11 +519,6 @@ class RatFunc:
         return RatFunc(self.num.substitute(images, target),
                        [f.substitute(images, target) for f in self.den])
 
-    def as_poly(self) -> LaurentPoly:
-        if self.den:
-            raise ValueError(f"denominator factors remain: {self.den}")
-        return self.num
-
     def series_qt(self, order: int, q_name: str, t_name: str) -> LaurentPoly:
         """Truncated expansion inverting denominator factors as series.
 

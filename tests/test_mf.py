@@ -1,3 +1,7 @@
+import json
+import os
+import pathlib
+
 import pytest
 
 from knotmf.mf import (CEPresentation, CHI1, CHI2, GradedTwist, KoszulMF,
@@ -7,8 +11,11 @@ from knotmf.mf import (CEPresentation, CHI1, CHI2, GradedTwist, KoszulMF,
                        extract_middle, kclass, koszul, kreduce,
                        ktheory_identity, ktheory_inverse_identity,
                        named_mf, standard_presentation, twisted_lower_entry,
-                       verify_suite, _expected_display_rows, _reducer_conv)
+                       verify_suite, _chart_full_a, _expected_display_rows,
+                       _reducer_conv)
 from knotmf.ring import LaurentPoly, QuotientReducer, VarRegistry, QQ
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 REG_XY = VarRegistry.make([("x", 0, 0), ("y", 0, 0)])
 X = LaurentPoly.var(REG_XY, "x")
@@ -165,7 +172,6 @@ def test_ce_homology_rank2():
 
 def test_weight_one_invariant_part():
     """(H^0 x chi_1)^T = <a11, a21> in the full middle chart."""
-    from knotmf.mf import _chart_full_a
     chart = _chart_full_a()
     hits = extract_middle(chart, (1, 0), None, degree_bound=4)
     monos = sorted(str(h) for h, _, _, _ in hits)
@@ -186,6 +192,40 @@ def test_blob_square_pipeline():
     assert "row_transform" in ops and "eliminate_row" in ops
     assert ops[-1] == "middle_contract"
     assert all("state" in e for e in res.audit)
+
+
+def test_certifier_rejects_nontrivial_action():
+    chart = _chart_full_a()
+    v = lambda n: LaurentPoly.var(chart.registry, n)
+    with pytest.raises(AssertionError, match="acts nontrivially"):
+        extract_middle(chart, (1, 0), v("a11") * v("a22"), 4)
+
+
+def test_certifier_rejects_inexact_differential():
+    chart = _chart_full_a()
+    a12 = LaurentPoly.var(chart.registry, "a12")
+    with pytest.raises(AssertionError, match="not exact"):
+        extract_middle(chart, (1, 0), a12, 4)
+
+
+def test_convolution_reports_golden():
+    """Reports (audit state hashes included), base rows and displays of the
+    supported pairs, untwisted and twisted, pinned verbatim."""
+    tw = GradedTwist.of_chars((0, 0), CHI1)
+    cases = [("C_dot", "C_dot", None, None), ("C_par", "C_dot", None, None),
+             ("C_dot", "C_par", None, None), ("C_par", "C_par", None, None),
+             ("C_dot", "C_dot", tw, tw),
+             ("C_par", "C_dot", GradedTwist.zero(2), tw)]
+    dump = []
+    for case in cases:
+        res = convolution_n2(*case)
+        dump.append({"report": res.report(), "base_rows": res.base_rows,
+                     "displays": res.displays})
+    out = json.dumps(dump, indent=1) + "\n"
+    path = GOLDEN / "convolution_reports.json"
+    if os.environ.get("KNOTMF_REGOLD") == "1":
+        path.write_text(out)
+    assert path.read_text() == out, "golden mismatch for convolution reports"
 
 
 def test_blob_square_q_form():
