@@ -13,17 +13,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .braid import BraidWord, Permutation
-from .ring import LaurentPoly, VarRegistry, QQ
-from .scalars import REG_QA, Scalar
-
-REG_Q = VarRegistry.make([("q", 1, 0)])
+from .ring import LaurentPoly, QQ
+from .scalars import REG_QA, S_ATOM, Scalar
 
 
 def qpoly(terms: dict[int, QQ]) -> LaurentPoly:
-    return LaurentPoly(REG_Q, {(k,): v for k, v in terms.items()})
+    """Laurent polynomial in q alone, held in the (q, a) registry."""
+    return LaurentPoly(REG_QA, {(k, 0): v for k, v in terms.items()})
 
 
-Q_S = qpoly({1: QQ(1), -1: QQ(-1)})  # q - q^-1
+Q_S = S_ATOM  # q - q^-1
 
 
 class HeckeElement:
@@ -45,7 +44,7 @@ class HeckeElement:
 
     @staticmethod
     def basis(n: int, w: Permutation, coeff: LaurentPoly | None = None) -> "HeckeElement":
-        c = coeff if coeff is not None else LaurentPoly.const(REG_Q, 1)
+        c = coeff if coeff is not None else LaurentPoly.const(REG_QA, 1)
         return HeckeElement(n, {w.images: c})
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
@@ -53,7 +52,7 @@ class HeckeElement:
             raise ValueError("strand mismatch")
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, LaurentPoly.zero(REG_Q)) + c
+            s = terms.get(w, LaurentPoly.zero(REG_QA)) + c
             if s.is_zero():
                 terms.pop(w, None)
             else:
@@ -61,7 +60,7 @@ class HeckeElement:
         return HeckeElement(self.n, terms)
 
     def __sub__(self, other):
-        return self + other.scale(LaurentPoly.const(REG_Q, -1))
+        return self + other.scale(LaurentPoly.const(REG_QA, -1))
 
     def scale(self, c: LaurentPoly) -> "HeckeElement":
         return HeckeElement(self.n, {w: v * c for w, v in self.terms.items()})
@@ -73,7 +72,7 @@ class HeckeElement:
         out: dict[tuple[int, ...], LaurentPoly] = {}
 
         def acc(w, c):
-            s = out.get(w, LaurentPoly.zero(REG_Q)) + c
+            s = out.get(w, LaurentPoly.zero(REG_QA)) + c
             if s.is_zero():
                 out.pop(w, None)
             else:
@@ -177,13 +176,8 @@ def trace_ocneanu(x: HeckeElement) -> Scalar:
     """Normalized Markov trace, tr(T_id) = 1."""
     total = Scalar.zero()
     for w, c in x.terms.items():
-        coeff = Scalar.from_poly(_q_to_qa(c))
-        total = total + coeff * _trace_basis(w)
+        total = total + Scalar(c) * _trace_basis(w)
     return total
-
-
-def _q_to_qa(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly(REG_QA, {(e[0], 0): c for e, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +204,7 @@ class InvariantValue:
             coeff = Scalar(split[a_exp], self.value.s_exp).reduce()
             out.append({
                 "a_exp": a_exp,
-                "coeff_num": _strip_a(coeff.num).to_json(),
+                "coeff_num": coeff.num.to_json(),
                 "denom_s_exp": coeff.s_exp,
             })
         return out
@@ -239,10 +233,6 @@ class InvariantValue:
         return str(self.value)
 
     __repr__ = __str__
-
-
-def _strip_a(p: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly(REG_Q, {(e[0],): c for e, c in p.terms.items()})
 
 
 def homflypt(b: BraidWord) -> InvariantValue:

@@ -9,8 +9,9 @@ two ways and cross-checked:
   z = 1 and z = Q z_j, T z_j.  Surviving pole chains biject with standard
   Young tableaux.
 * tableau mode: the same sum evaluated directly on standard tableaux with
-  z_i = Q^{a'} T^{l'}, dropping the exactly-vanishing atoms that the residue
-  route consumes (one per box plus matched numerator/denominator pairs).
+  z_i = Q^{a'} T^{l'}, dropping the vanishing denominator the residue route
+  consumes at each box; the rest cancels by the same ``Term.cancel_pairs``
+  as the residue chains (matched numerator/denominator pairs).
 
 Everything is exact: coefficients are big rationals, the assembled character
 is a multivariate rational function in (Q, T, a).
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import LaurentPoly, VarRegistry, QQ
-from .scalars import RatFunc, RationalFunc1
+from .scalars import S_ATOM, RatFunc, RationalFunc1
 
 
 # ---------------------------------------------------------------------------
@@ -388,25 +389,26 @@ def syt_term(ctx: ResidueContext, tab: StandardTableau,
              exponents: list[int]) -> Term:
     """Specialize the displayed summand on one tableau.
 
-    Vanishing atoms are dropped in matched pairs with exactly one extra
-    vanishing denominator per box (the residue the closed form consumes);
-    the count is checked.
+    One vanishing denominator per box is the residue the closed form
+    consumes; what is left goes through ``Term.cancel_pairs``.  Fewer than
+    n vanishing denominators, a spare vanishing numerator or an unmatched
+    vanishing denominator is a regularization count mismatch.
     """
-    base = ctx.integrand(exponents)
-    values = {i: ctx.mono(Q=tab.coarm(i + 1), T=tab.coleg(i + 1))
-              for i in range(ctx.n)}
-    sub = base
+    sub = ctx.integrand(exponents)
     for i in range(ctx.n):
-        sub = sub.substitute(i, values[i])
-    vanished_num = [m for m in sub.num_atoms if m.is_one()]
-    vanished_den = [m for m in sub.den_atoms if m.is_one()]
-    if len(vanished_den) - len(vanished_num) != ctx.n:
+        sub = sub.substitute(i, ctx.mono(Q=tab.coarm(i + 1),
+                                         T=tab.coleg(i + 1)))
+    den = list(sub.den_atoms)
+    try:
+        for _ in range(ctx.n):
+            den.remove(ctx.mono())
+        term = Term(sub.mono, sub.num_atoms, den, sub.chain).cancel_pairs()
+    except (ValueError, PoleCollision):
+        term = None
+    if term is None:
         raise AssertionError(
             f"tableau regularization count mismatch on\n{tab}")
-    return Term(sub.mono,
-                [m for m in sub.num_atoms if not m.is_one()],
-                [m for m in sub.den_atoms if not m.is_one()],
-                [(i, values[i]) for i in range(ctx.n)])
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +416,7 @@ def syt_term(ctx: ResidueContext, tab: StandardTableau,
 
 
 RESIDUE_STRAND_CAP = 4
-SYT_STRAND_CAP = 8
+SYT_STRAND_CAP = 6
 
 
 @dataclass
@@ -475,12 +477,33 @@ def _exponent_vector(jm_exponents: list[int], n: int) -> list[int]:
     return [0] + list(jm_exponents)
 
 
+def _tableau_chains(ctx: ResidueContext, exponents: list[int]):
+    """(term, box positions) of every surviving residue chain.
+
+    ``cancel_pairs`` already killed every chain with a vanishing numerator
+    atom, so a surviving chain has a nonzero residue: it must be a tableau,
+    and the chains must be as many as the standard tableaux.
+    """
+    out = []
+    for t in ctx.evaluate(exponents):
+        positions = chain_box_values(ctx, t)
+        if not chain_is_syt(positions):
+            raise AssertionError(
+                f"non-tableau chain with nonzero residue: {positions}")
+        out.append((t, positions))
+    total_syt = sum(p.syt_count() for p in partitions_of(ctx.n))
+    if len(out) != total_syt:
+        raise AssertionError(
+            f"{len(out)} surviving chains vs {total_syt} tableaux")
+    return out
+
+
 def superpoly_jm(jm_exponents: list[int], mode: str = "residue",
-                 order: int = 12, check_chains: bool = True) -> Character:
+                 order: int = 12) -> Character:
     """Character of the closure of the JM power braid delta^b.
 
     mode='residue' is the ground-truth iterated residue sum (n <= 4);
-    mode='syt' evaluates the closed tableau sum (n <= 8).  The two agree
+    mode='syt' evaluates the closed tableau sum (n <= 6).  The two agree
     exactly; `verify localization` asserts it.
     """
     n = len(jm_exponents) + 1
@@ -490,28 +513,10 @@ def superpoly_jm(jm_exponents: list[int], mode: str = "residue",
     ctx = ResidueContext(n)
     exps = _exponent_vector(jm_exponents, n)
     if mode == "residue":
-        terms = ctx.evaluate(exps)
-        kept = []
-        for t in terms:
-            positions = chain_box_values(ctx, t)
-            if chain_is_syt(positions):
-                kept.append(t)
-            else:
-                rf = term_to_ratfunc(ctx, t)
-                if not rf.num.is_zero():
-                    raise AssertionError(
-                        f"non-tableau chain with nonzero residue: {positions}")
-        if check_chains:
-            total_syt = sum(p.syt_count() for p in partitions_of(n))
-            if len(kept) != total_syt:
-                raise AssertionError(
-                    f"{len(kept)} surviving chains vs {total_syt} tableaux")
-        terms = kept
+        terms = [t for t, _ in _tableau_chains(ctx, exps)]
     elif mode == "syt":
-        terms = []
-        for shape in partitions_of(n):
-            for tab in syt_enumerate(shape):
-                terms.append(syt_term(ctx, tab, exps))
+        terms = [syt_term(ctx, tab, exps) for shape in partitions_of(n)
+                 for tab in syt_enumerate(shape)]
     else:
         raise ValueError("mode must be 'residue' or 'syt'")
 
@@ -570,11 +575,8 @@ def full_twist_shift_check(jm_exponents: list[int], power: int,
     shifted = superpoly_jm([b + power for b in jm_exponents], mode="residue")
     # det(B) acts on a tableau term by prod z_i = Q^{sum a'} T^{sum l'}
     expected = RatFunc(LaurentPoly.zero(ctx.registry))
-    terms = ctx.evaluate(_exponent_vector(jm_exponents, n))
-    for t in terms:
-        positions = chain_box_values(ctx, t)
-        if not chain_is_syt(positions):
-            continue
+    exps = _exponent_vector(jm_exponents, n)
+    for t, positions in _tableau_chains(ctx, exps):
         if wrong_character:
             qe, te = positions[0]
         else:
@@ -638,18 +640,15 @@ def character_for_braid(jm_exponents: list[int], mode: str = "residue",
     return superpoly_jm(braid_exponents_to_boxes(jm_exponents), mode, order)
 
 
-def _p_side_series(scalar, order: int) -> dict[int, dict[int, Fraction]]:
-    """{a_exp: q-series dict} of a Scalar num/(q - 1/q)^k, exactly."""
-    out = {}
-    den = {1: QQ(1), -1: QQ(-1)}
-    den_pow = {0: QQ(1)}
-    for _ in range(scalar.s_exp):
-        den_pow = RationalFunc1._pmul(den_pow, den)
-    split = scalar.num.coefficients_in("a")
-    for a_exp, poly in split.items():
-        num = {e[0]: c for e, c in poly.terms.items()}
-        out[a_exp] = RationalFunc1(num, den_pow).series(order)
-    return out
+def _series_by_a(num: LaurentPoly, den: LaurentPoly, var: str,
+                 order: int) -> dict[int, dict[int, Fraction]]:
+    """{a_exp: series in ``var``} of num/den; both may involve only ``var``
+    and a, and den is free of a."""
+    iv = num.registry.index(var)
+    den1 = {e[iv]: c for e, c in den.terms.items()}
+    return {a_exp: RationalFunc1({e[iv]: c for e, c in poly.terms.items()},
+                                 den1).series(order)
+            for a_exp, poly in num.coefficients_in("a").items()}
 
 
 def _char_side_series(ch: Character, n: int, writhe: int,
@@ -660,17 +659,12 @@ def _char_side_series(ch: Character, n: int, writhe: int,
     q_inv = LaurentPoly.var(reg, "Q", -1)
     a_map = LaurentPoly.var(reg, "a", -2) * (-1)
     rf = rf.substitute({"T": q_inv, "a": a_map})
-    split_num = rf.num.coefficients_in("a")
-    iq = reg.index("Q")
-    den1: dict[int, Fraction] = {0: QQ(1)}
+    den = LaurentPoly.const(reg, 1)
     for f in rf.den:
-        df = {e[iq]: c for e, c in f.terms.items()}
-        den1 = RationalFunc1._pmul(den1, df)
+        den = den * f
     out: dict[int, dict[int, Fraction]] = {}
     sign = QQ(-1) ** n
-    for a_exp, poly in split_num.items():
-        num1 = {e[iq]: c for e, c in poly.terms.items()}
-        q_series = RationalFunc1(num1, den1).series(order)
+    for a_exp, q_series in _series_by_a(rf.num, den, "Q", order).items():
         shifted: dict[int, Fraction] = {}
         for k, c in q_series.items():
             # Q-degree k is q-degree 2k; calibration adds q^n
@@ -724,7 +718,9 @@ def homfly_crosscheck(jm_exponents: list[int], n: int,
         report["samples"].append({"q": str(q0), "equal": same})
         report["ok"] = report["ok"] and same
 
-    p_series = _p_side_series(invariant.value, series_order)
+    value = invariant.value
+    p_series = _series_by_a(value.num, S_ATOM ** value.s_exp, "q",
+                            series_order)
     c_series = _char_side_series(ch, n, w, series_order)
     trimmed_p = {a: {k: v for k, v in s.items() if k <= series_order - 0}
                  for a, s in p_series.items() if s}

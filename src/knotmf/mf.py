@@ -1388,9 +1388,20 @@ def verify_suite() -> dict:
             if not m.check_homogeneous():
                 raise AssertionError(f"{kind}: inhomogeneous entries")
 
+    # one blob-square convolution for both steps that check it; a failure
+    # is re-raised by each, so both report it
+    try:
+        blob = blob_square_q_form()
+    except Exception as exc:
+        blob = exc
+
+    def blob_result():
+        if isinstance(blob, Exception):
+            raise blob
+        return blob
+
     def blob_square():
-        tw = GradedTwist.of_chars((0, 0), CHI1)
-        res = convolution_n2("C_dot", "C_dot", tw, tw)
+        _, res = blob_result()
         want = {(("C_dot"), ((1, 0), (1, 0))), (("C_dot"), ((0, 1), (1, 0)))}
         got = {(k, (t.left, t.right)) for k, t in res.summands}
         if got != want:
@@ -1403,7 +1414,7 @@ def verify_suite() -> dict:
         return {"summands": res.report()["summands"]}
 
     def blob_square_q():
-        shifts, _ = blob_square_q_form()
+        shifts, _ = blob_result()
         if shifts != [4, 2]:
             raise AssertionError(f"q-form shifts {shifts}")
 

@@ -92,10 +92,6 @@ class Scalar:
         return Scalar.from_int(0)
 
     @staticmethod
-    def from_poly(p: LaurentPoly) -> "Scalar":
-        return Scalar(p)
-
-    @staticmethod
     def trace_z() -> "Scalar":
         """z = (q - q^-1)/(1 - a^-2), the Markov trace parameter."""
         return Scalar(S_ATOM, 0, 1)
@@ -237,10 +233,6 @@ class RationalFunc1:
         if not self.den:
             raise ZeroDivisionError("zero denominator")
         self._gcd_reduce()
-
-    @staticmethod
-    def from_poly(num: Mapping[int, Fraction]) -> "RationalFunc1":
-        return RationalFunc1(num, {0: QQ(1)})
 
     # polynomial helpers -------------------------------------------------
 
@@ -410,10 +402,6 @@ class RatFunc:
         if cancel:
             self._cancel()
 
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RatFunc":
-        return RatFunc(p, ())
-
     def _cancel(self):
         remaining = []
         for f in sorted(self.den, key=lambda p: (len(p.terms), str(p))):
@@ -425,29 +413,15 @@ class RatFunc:
         self.den = remaining
 
     @staticmethod
-    def sum(parts: "Sequence[RatFunc]", cancel: bool = True) -> "RatFunc":
-        """Single-pass sum over a shared denominator."""
-        from collections import Counter
+    def sum(parts: "Sequence[RatFunc]") -> "RatFunc":
+        """Left fold of ``__add__``, starting from the first part rebuilt
+        with cancellation, so every partial sum is cancelled as it goes."""
         if not parts:
             raise ValueError("empty sum")
-        union: Counter = Counter()
-        lookup = {}
-        for p in parts:
-            c = Counter(map(_key, p.den))
-            for k, f in zip(map(_key, p.den), p.den):
-                lookup[k] = f
-            union |= c
-        total = LaurentPoly.zero(parts[0].registry)
-        for p in parts:
-            have = Counter(map(_key, p.den))
-            num = p.num
-            for k, m in union.items():
-                num = _scale(num, lookup[k], m - have.get(k, 0))
-            total = total + num
-        den = []
-        for k, m in union.items():
-            den.extend([lookup[k]] * m)
-        return RatFunc(total, den, cancel=cancel)
+        total = RatFunc(parts[0].num, parts[0].den)
+        for p in parts[1:]:
+            total = total + p
+        return total
 
     @property
     def registry(self):

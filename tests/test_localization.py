@@ -7,7 +7,7 @@ from knotmf.localization import (Partition, ResidueContext,
                                  homfly_crosscheck, markov_example_sigma1,
                                  p1_cohomology, partitions_of,
                                  residue_pushforward, superpoly_jm,
-                                 syt_enumerate, term_to_ratfunc)
+                                 syt_enumerate, syt_term, term_to_ratfunc)
 from knotmf.ring import LaurentPoly, QQ
 from knotmf.scalars import RatFunc
 
@@ -216,3 +216,27 @@ def test_four_box_residue_mode():
     r2 = superpoly_jm([2, 1, 3], mode="residue")
     s2 = superpoly_jm([2, 1, 3], mode="syt")
     assert r2.reduced == s2.reduced
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_syt_term_cancels_pairs(n):
+    """Tableau terms leave no matched num/den pair and no vanishing atom."""
+    ctx = ResidueContext(n)
+    for shape in partitions_of(n):
+        for tab in syt_enumerate(shape):
+            t = syt_term(ctx, tab, [0] + [1] * (n - 1))
+            assert not any(m in t.den_atoms for m in t.num_atoms)
+            assert not any(m.is_one() for m in t.num_atoms + t.den_atoms)
+
+
+def test_five_box_tableau_mode():
+    """Residue mode stops at four boxes, so five boxes are checked against
+    oracles that do not need it: a polynomial, symmetric under Q <-> T
+    (tableau transposition), vanishing at a = -1 (box 1 carries 1 + a)."""
+    ch = superpoly_jm([1, 1, 1, 1], mode="syt")
+    rf = ch.reduced
+    reg = rf.registry
+    q_, t_ = LaurentPoly.var(reg, "Q"), LaurentPoly.var(reg, "T")
+    assert rf.den == []
+    assert rf.num.substitute({"Q": t_, "T": q_}) == rf.num
+    assert rf.num.substitute({"a": LaurentPoly.const(reg, -1)}).is_zero()

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from knotmf.mf import (CEPresentation, CHI1, CHI2, GradedTwist, KoszulMF,
-                       Mat2, PotentialMismatch, REG_CONV, REG_X2,
+                       Mat2, PotentialMismatch, REG_CONV, REG_K, REG_X2,
                        blob_square_q_form, ce_homology_rank2,
                        convolution_n2, extend_koszul,
                        extract_middle, kclass, koszul, kreduce,
@@ -254,7 +254,12 @@ def test_kclass_identities():
     assert not ktheory_identity(perturb=True)
     assert ktheory_inverse_identity()
     k = kclass(standard_presentation("C_par"))
-    assert kreduce(k) == kreduce(k)
+
+    def mono(**e):
+        return LaurentPoly.monomial(REG_K, e)
+
+    assert kreduce(k) == (mono(U1=2, V1=-2) + mono(q=-2, U1=-1, V1=1)
+                          + mono() + mono(q=-2, U1=1, V1=-1))
 
 
 def test_kclass_additive_on_sums():
@@ -268,6 +273,17 @@ def test_kclass_additive_on_sums():
 def test_verify_suite_passes():
     report = verify_suite()
     assert report["status"] == "pass", report
+
+
+def test_verify_suite_reports_failed_blob_square(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("broken convolution")
+
+    monkeypatch.setattr("knotmf.mf.convolution_n2", broken)
+    steps = {s["step"]: s for s in verify_suite()["steps"]}
+    for name in ("blob_square_pipeline", "blob_square_q_form"):
+        assert steps[name]["status"] == "fail"
+        assert steps[name]["witness"] == "broken convolution"
 
 
 def test_extend_koszul_degenerate_presentation():

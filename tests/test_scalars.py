@@ -140,6 +140,9 @@ def test_ratfunc_sum_and_cancel():
     g = RatFunc(-1 * q, [one - q])
     total = RatFunc.sum([f, g])
     assert total == RatFunc(one)
+    # a one-part sum is cancelled too
+    single = RatFunc.sum([RatFunc(f.den[0] * g.num, f.den, cancel=False)])
+    assert single.den == [] and single.num == g.num
     # symmetric pair whose cross denominators cancel
     h1 = RatFunc(one, [one - q * t])
     h2 = RatFunc(one, [one - q])
