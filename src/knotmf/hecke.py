@@ -3,9 +3,11 @@
 Conventions: generators g_i satisfy the braid relations and
 g_i - g_i^{-1} = q - q^{-1}, equivalently g_i^2 = 1 + (q - q^{-1}) g_i.
 The basis is T_w, products of generators along reduced words.  The trace is
-normalized with tr(T_id) = 1 and Markov parameter z = (q - q^{-1})/(1 - a^{-2});
-the closure invariant multiplies back the loop value D = (a - a^{-1})/(q - q^{-1})
-per strand and a^{-writhe}.
+normalized with tr(T_id) = 1 and Markov parameter z = (q - q^{-1})/(1 - a^{-2}).
+It is computed with z formal: tr T_w is a polynomial in z with Z[q^+-1]
+coefficients, and z is substituted once per trace.  The closure invariant
+multiplies back the loop value D = (a - a^{-1})/(q - q^{-1}) per strand and
+a^{-writhe}.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 from .braid import BraidWord, Permutation
 from .ring import LaurentPoly, QQ
-from .scalars import REG_QA, S_ATOM, Scalar
+from .scalars import REG_QA, S_ATOM, U_ATOM, Scalar
 
 
 def qpoly(terms: dict[int, QQ]) -> LaurentPoly:
@@ -151,10 +153,11 @@ def _coset_cycle(n: int, j: int) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _trace_basis(images: tuple[int, ...]) -> Scalar:
+def _trace_basis(images: tuple[int, ...]) -> tuple[LaurentPoly, ...]:
+    """z-expansion (P_0, ..., P_K) of tr T_w = sum_k P_k(q) z^k."""
     n = len(images)
     if n == 1:
-        return Scalar.one()
+        return (LaurentPoly.const(REG_QA, 1),)
     w = Permutation(images)
     if w.fixes(n):
         return _trace_basis(w.restrict(n - 1).images)
@@ -168,16 +171,33 @@ def _trace_basis(images: tuple[int, ...]) -> Scalar:
     prefix = HeckeElement.unit(n - 1)
     for i in range(j, n - 1):
         prefix = prefix.mul_gen(i)
-    product = prefix * rest
-    return Scalar.trace_z() * trace_ocneanu(product)
+    return (LaurentPoly.zero(REG_QA),) + tuple(_z_expansion(prefix * rest))
+
+
+def _z_expansion(x: HeckeElement) -> list[LaurentPoly]:
+    """Coefficients P_k of tr x = sum_k P_k(q) z^k, summed over the basis."""
+    out: list[LaurentPoly] = []
+    for w, c in x.terms.items():
+        for k, p in enumerate(_trace_basis(w)):
+            if k < len(out):
+                out[k] = out[k] + c * p
+            else:
+                out.append(c * p)
+    return out
 
 
 def trace_ocneanu(x: HeckeElement) -> Scalar:
-    """Normalized Markov trace, tr(T_id) = 1."""
-    total = Scalar.zero()
-    for w, c in x.terms.items():
-        total = total + Scalar(c) * _trace_basis(w)
-    return total
+    """Normalized Markov trace, tr(T_id) = 1, as a reduced Scalar.
+
+    With z = s/u the z-expansion sum_k P_k z^k of degree K is
+    (sum_k P_k s^k u^(K-k)) / u^K, reduced once.
+    """
+    coeffs = _z_expansion(x)
+    top = max(len(coeffs) - 1, 0)
+    num = LaurentPoly.zero(REG_QA)
+    for k, p in enumerate(coeffs):
+        num = num + p * S_ATOM ** k * U_ATOM ** (top - k)
+    return Scalar(num, 0, top).reduce()
 
 
 # ---------------------------------------------------------------------------

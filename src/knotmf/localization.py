@@ -722,9 +722,7 @@ def homfly_crosscheck(jm_exponents: list[int], n: int,
     p_series = _series_by_a(value.num, S_ATOM ** value.s_exp, "q",
                             series_order)
     c_series = _char_side_series(ch, n, w, series_order)
-    trimmed_p = {a: {k: v for k, v in s.items() if k <= series_order - 0}
-                 for a, s in p_series.items() if s}
-    trimmed_p = {a: s for a, s in trimmed_p.items() if s}
+    trimmed_p = {a: s for a, s in p_series.items() if s}
     trimmed_c = {a: s for a, s in c_series.items() if s}
     series_ok = trimmed_p == trimmed_c
     report["series_ok"] = series_ok

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import LaurentPoly, QuotientReducer, VarRegistry, QQ
+from .ring import LaurentPoly, QuotientReducer, VarRegistry, QQ, coeff_div
 
 # ---------------------------------------------------------------------------
 # Registries.  Gradings: deg x = q^2, deg y = q^-2 t^-2, group entries
@@ -731,7 +731,7 @@ def _reduce_column(col, work, pivots, combo=None, combos=None):
         if r not in pivots:
             return
         k = pivots[r]
-        factor = col[r] / work[k][r]
+        factor = coeff_div(col[r], work[k][r])
         _sub_scaled(col, factor, work[k])
         if combo is not None:
             _sub_scaled(combo, factor, combos[k])

@@ -2,16 +2,37 @@
 
 Everything downstream (Hecke traces, Koszul rows, residue sums) is built on
 the two classes here: a variable registry carrying grading data, and a sparse
-Laurent polynomial with big-rational coefficients.  No floats anywhere.
+Laurent polynomial with exact rational coefficients: an integral coefficient
+is a Python ``int``, any other a ``Fraction``.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 QQ = Fraction
+
+
+def as_coeff(c):
+    """Canonical coefficient: ``int`` when integral, else ``Fraction``."""
+    t = type(c)
+    if t is int:
+        return c
+    if t is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def coeff_div(a, b):
+    """Exact quotient a / b of two coefficients, canonical as ``as_coeff``."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        if not rem:
+            return quo
+    return as_coeff(Fraction(a, b))
 
 # A character weight is one integer vector per torus slot (e.g. left/right
 # Borel factors for n=2).  Stored as nested tuples so registries are hashable.
@@ -90,7 +111,12 @@ class VarRegistry:
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: exponent vector -> nonzero Fraction."""
+    """Sparse Laurent polynomial: exponent vector -> nonzero coefficient.
+
+    Every coefficient is canonical (see ``as_coeff``): operations that make a
+    coefficient keep integral ones as ``int``, so an integer-only
+    computation never builds a ``Fraction``.
+    """
 
     __slots__ = ("registry", "terms")
 
@@ -100,14 +126,14 @@ class LaurentPoly:
         cleaned = {}
         if terms:
             for e, c in terms.items():
-                c = QQ(c)
-                if c != 0:
+                c = as_coeff(c)
+                if c:
                     cleaned[tuple(e)] = c
         self.terms = cleaned
 
     @staticmethod
     def _raw(registry: VarRegistry, terms: dict) -> "LaurentPoly":
-        """Internal constructor: terms are already clean Fraction dicts."""
+        """Internal constructor: terms are already clean canonical dicts."""
         p = LaurentPoly.__new__(LaurentPoly)
         p.registry = registry
         p.terms = terms
@@ -121,7 +147,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(reg: VarRegistry, c) -> "LaurentPoly":
-        c = QQ(c)
+        c = as_coeff(c)
         if c == 0:
             return LaurentPoly(reg)
         return LaurentPoly(reg, {(0,) * reg.nvars: c})
@@ -130,14 +156,14 @@ class LaurentPoly:
     def var(reg: VarRegistry, name: str, power: int = 1) -> "LaurentPoly":
         e = [0] * reg.nvars
         e[reg.index(name)] = power
-        return LaurentPoly(reg, {tuple(e): QQ(1)})
+        return LaurentPoly(reg, {tuple(e): 1})
 
     @staticmethod
     def monomial(reg: VarRegistry, exps: Mapping[str, int], coeff=1) -> "LaurentPoly":
         e = [0] * reg.nvars
         for name, p in exps.items():
             e[reg.index(name)] = p
-        return LaurentPoly(reg, {tuple(e): QQ(coeff)})
+        return LaurentPoly(reg, {tuple(e): coeff})
 
     # -- basic queries ------------------------------------------------
 
@@ -153,7 +179,7 @@ class LaurentPoly:
         for e, c in self.terms.items():
             if e != z:
                 raise ValueError("not a constant")
-        return self.terms.get(z, QQ(0))
+        return self.terms.get(z, 0)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -196,11 +222,14 @@ class LaurentPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e)
-            s = c if s is None else s + c
-            if s == 0:
-                terms.pop(e, None)
+            if s is None:
+                terms[e] = c
             else:
-                terms[e] = s
+                s += c
+                if s:
+                    terms[e] = s if type(s) is int else as_coeff(s)
+                else:
+                    del terms[e]
         return LaurentPoly._raw(self.registry, terms)
 
     __radd__ = __add__
@@ -219,31 +248,29 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = QQ(other)
+            c = as_coeff(other)
             if c == 0:
                 return LaurentPoly(self.registry)
-            return LaurentPoly._raw(self.registry,
-                                    {e: c * v for e, v in self.terms.items()})
+            return LaurentPoly._raw(self.registry, {
+                e: as_coeff(c * v) for e, v in self.terms.items()})
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return LaurentPoly._raw(self.registry, terms)
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._raw(self.registry, {
+            e: c if type(c) is int else as_coeff(c)
+            for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             e, c = self.monomial_parts()
-            inv = LaurentPoly(self.registry,
-                              {tuple(-x for x in e): QQ(1) / c})
+            inv = LaurentPoly._raw(self.registry,
+                                   {tuple(-x for x in e): coeff_div(1, c)})
             return inv ** (-n)
         result = LaurentPoly.const(self.registry, 1)
         base = self
@@ -289,7 +316,7 @@ class LaurentPoly:
         if divisor.is_monomial():
             e0, c0 = divisor.monomial_parts()
             return LaurentPoly._raw(self.registry, {
-                tuple(a - b for a, b in zip(e, e0)): c / c0
+                tuple(a - b for a, b in zip(e, e0)): coeff_div(c, c0)
                 for e, c in self.terms.items()})
 
         box = []
@@ -311,7 +338,7 @@ class LaurentPoly:
             qe = tuple(a - b for a, b in zip(re, le))
             if any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
                 return None
-            qc = remainder.pop(re) / lc
+            qc = coeff_div(remainder.pop(re), lc)
             q_terms[qe] = qc
             for e, c in rest:
                 k = tuple(a + b for a, b in zip(qe, e))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ring import LaurentPoly, VarRegistry, QQ
+from .ring import LaurentPoly, VarRegistry, QQ, as_coeff
 
 # Registry underlying every Scalar: q carries the q-grading, a the a-grading.
 REG_QA = VarRegistry.make([("q", 1, 0), ("a", 0, 0)])
@@ -58,8 +58,9 @@ def _div_atom(terms: Mapping[tuple[int, int], Fraction], var: int,
         for (e, c), (below, _) in zip(items, items[1:]):
             acc += c
             if acc:
+                val = acc if type(acc) is int else as_coeff(acc)
                 for f in range(e - 2 + shift, below - 1 + shift, -2):
-                    out[(f, other) if var == 0 else (other, f)] = acc
+                    out[(f, other) if var == 0 else (other, f)] = val
     return out
 
 

@@ -1,9 +1,13 @@
 import itertools
+import json
+import os
+import pathlib
 import random
 
 import pytest
 
-from knotmf.braid import BraidWord, Permutation, jm_element, parse_braid
+from knotmf.braid import (BraidWord, Permutation, full_twist, jm_element,
+                          jm_power_braid, parse_braid)
 from knotmf.hecke import (HeckeElement, from_braid, gen_image, homflypt,
                           ktheory_skein_check, qpoly, trace_ocneanu)
 from knotmf.ring import QQ
@@ -88,6 +92,22 @@ def test_trace_normalization_and_markov():
     assert trace_ocneanu(HeckeElement.unit(3)) == Scalar.one()
     g = gen_image(1, 2)
     assert trace_ocneanu(g) == Scalar.trace_z()
+
+
+def test_markov_property_of_the_trace():
+    """tr(b g_n) = z tr(b) and tr(b g_n^-1) = (z - (q - q^-1)) tr(b) for a
+    word b on n strands read on n + 1 strands."""
+    rng = random.Random(11)
+    z, s = Scalar.trace_z(), Scalar(S_ATOM)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(rng.randint(0, 8) if n > 1 else 0))
+        tr_b = trace_ocneanu(from_braid(BraidWord(n, letters)))
+        up = trace_ocneanu(from_braid(BraidWord(n + 1, letters + (n,))))
+        down = trace_ocneanu(from_braid(BraidWord(n + 1, letters + (-n,))))
+        assert up == z * tr_b
+        assert down == (z - s) * tr_b
 
 
 def test_trace_is_central_on_h3():
@@ -202,3 +222,31 @@ def test_connected_sum_multiplicativity():
     square = homflypt(parse_braid("1 1 1 -2 -2 -2", strands=3)).value
     mirrored = homflypt(parse_braid("-1 -1 -1")).value
     assert square * d == t * mirrored
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _golden_braids():
+    yield "full_twist(5)", full_twist(5)
+    yield "full_twist(6)", full_twist(6)
+    for e in ((1, 2, 1, 2), (2, 1, 2, 1), (2, 2, 2, 2)):
+        yield f"jm_power_braid({list(e)}, 5)", jm_power_braid(list(e), 5)
+    rng = random.Random("trace golden corpus")
+    for _ in range(100):
+        yield "random", random_braid(rng, max_strands=5, max_length=10)
+
+
+def test_trace_invariants_golden():
+    """str() and a_coefficients() of homflypt on the full twists, the
+    5-strand JM power braids and a seeded corpus, pinned verbatim."""
+    dump = []
+    for name, b in _golden_braids():
+        p = homflypt(b)
+        dump.append({"name": name, "braid": b.to_json(), "homflypt": str(p),
+                     "a_coefficients": p.a_coefficients()})
+    out = json.dumps(dump, indent=1) + "\n"
+    path = GOLDEN / "trace_invariants.json"
+    if os.environ.get("KNOTMF_REGOLD") == "1":
+        path.write_text(out)
+    assert path.read_text() == out, "golden mismatch for trace invariants"

@@ -139,3 +139,78 @@ def test_reducer_ring_map(p, q):
 def test_json_round_trip():
     p = v("x", -2) * 3 + v("y") * Fraction(5, 7) + 1
     assert LaurentPoly.from_json(REG, p.to_json()) == p
+
+
+@st.composite
+def mixed_coeffs(draw):
+    """An int, a Fraction, or an integral value held as a Fraction."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.integers(-9, 9))
+    d = draw(st.integers(1, 9))
+    n = draw(st.integers(-9, 9))
+    return Fraction(n * d if kind == 1 else n, d)
+
+
+@st.composite
+def mixed_polys(draw, max_terms=4):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(-3, 3)) for _ in range(REG.nvars))
+        terms[e] = draw(mixed_coeffs())
+    return LaurentPoly(REG, terms)
+
+
+def assert_canonical(p):
+    """No float; integral coefficients are ints; equal and hash-equal to
+    the same polynomial held with Fraction coefficients only."""
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction)
+        assert type(c) is int or c.denominator != 1
+    as_fractions = LaurentPoly._raw(
+        p.registry, {e: Fraction(c) for e, c in p.terms.items()})
+    assert p == as_fractions
+    assert hash(p) == hash(as_fractions)
+
+
+def fraction_product(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_polys(), mixed_polys(), mixed_coeffs(), st.integers(0, 3),
+       st.integers(1, 3))
+def test_coefficients_stay_exact(p, q, c, k, j):
+    assert_canonical(p)
+    product = p * q
+    for r in (p + q, p - q, -p, product, p * c, c * p, p + c, p ** k):
+        assert_canonical(r)
+    assert product.terms == fraction_product(p, q)
+    mono = LaurentPoly.monomial(REG, {"x": 1, "y": -2}, c or Fraction(2, 3))
+    assert_canonical(mono ** -j)
+    assert mono ** -j * mono ** j == LaurentPoly.const(REG, 1)
+    if not q.is_zero():
+        quotient = product.exact_div(q)
+        assert_canonical(quotient)
+        assert quotient == p
+        assert_canonical(p.exact_div(mono))
+    images = {"x": mono, "z": q if all(e[2] >= 0 for e in p.terms) else mono}
+    assert_canonical(p.substitute(images))
+    assert_canonical(p.evaluate({"y": c or Fraction(-3, 4)}))
+
+
+def test_exact_division_non_monic():
+    x = v("x")
+    half = (x + 1).exact_div(2 * x + 2)
+    assert half == LaurentPoly.const(REG, Fraction(1, 2))
+    assert half.terms == {(0, 0, 0): Fraction(1, 2)}
+    assert type(half.constant_value()) is Fraction
+    three = (3 * x + 3).exact_div(x + 1)
+    assert type(three.constant_value()) is int and three == 3
+    assert (x * Fraction(4, 3)).exact_div(x * Fraction(2, 3)).terms == {
+        (0, 0, 0): 2}
