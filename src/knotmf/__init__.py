@@ -9,11 +9,11 @@ fixed-point character formulas with their residue evaluation.
 from .braid import BraidWord, Permutation, parse_braid, jm_element, full_twist
 from .hecke import HeckeElement, from_braid, gen_image, homflypt, trace_ocneanu
 from .ring import LaurentPoly, QuotientReducer, VarRegistry
-from .scalars import RatFunc, RationalFunc1, Scalar
+from .scalars import RatFunc, Scalar
 
 __all__ = [
     "BraidWord", "Permutation", "parse_braid", "jm_element", "full_twist",
     "HeckeElement", "from_braid", "gen_image", "homflypt", "trace_ocneanu",
     "LaurentPoly", "QuotientReducer", "VarRegistry",
-    "RatFunc", "RationalFunc1", "Scalar",
+    "RatFunc", "Scalar",
 ]

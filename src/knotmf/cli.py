@@ -13,8 +13,8 @@ import sys
 
 from .braid import parse_braid
 from .hecke import from_braid, homflypt
-from .localization import (RESIDUE_STRAND_CAP, SYT_STRAND_CAP, partitions_of,
-                           superpoly_jm, syt_enumerate)
+from .localization import partitions_of, superpoly_jm, syt_enumerate
+from .ring import ResourceLimit
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_GUARD = 0, 1, 2, 3
 
@@ -120,21 +120,19 @@ def _cmd_superpoly(args) -> int:
     except ValueError:
         print("error: --jm wants comma separated integers", file=sys.stderr)
         return EXIT_INPUT
-    n = len(exponents) + 1
-    cap = RESIDUE_STRAND_CAP if args.mode == "residue" else SYT_STRAND_CAP
-    if n > cap:
-        print(f"error: {n} boxes exceeds the {args.mode} cap {cap}",
-              file=sys.stderr)
-        return EXIT_GUARD
     if any(b < 0 for b in exponents):
         print("error: negative JM exponents are outside the positive range "
               "of the character formula", file=sys.stderr)
         return EXIT_INPUT
-    ch = superpoly_jm(exponents, mode=args.mode, order=args.order)
+    try:
+        ch = superpoly_jm(exponents, mode=args.mode, order=args.order)
+    except ResourceLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     if args.format == "json":
         print(json.dumps(ch.to_json(), sort_keys=True))
     else:
-        print(f"character of the {n}-box closure, exponents {exponents}")
+        print(f"character of the {ch.n}-box closure, exponents {exponents}")
         print(f"  reduced sum: {ch.reduced}")
         print(f"  series to order {args.order}: {ch.series()}")
     return EXIT_OK

@@ -81,9 +81,10 @@ class HeckeElement:
                 out[w] = s
 
         for wim, c in self.terms.items():
-            acc(Permutation(wim).right_s(i).images, c)
+            x, y = wim[i - 1], wim[i]
+            acc(wim[:i - 1] + (y, x) + wim[i + 1:], c)  # w s_i
             # l(w s_i) < l(w) exactly when w(i) > w(i+1): quadratic relation
-            if wim[i - 1] > wim[i]:
+            if x > y:
                 acc(wim, c * Q_S)
         return HeckeElement(self.n, out)
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import LaurentPoly, VarRegistry, QQ
-from .scalars import S_ATOM, RatFunc, RationalFunc1
+from .ring import LaurentPoly, ResourceLimit, VarRegistry, QQ
+from .scalars import S_ATOM, RatFunc
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +509,7 @@ def superpoly_jm(jm_exponents: list[int], mode: str = "residue",
     n = len(jm_exponents) + 1
     cap = RESIDUE_STRAND_CAP if mode == "residue" else SYT_STRAND_CAP
     if n > cap:
-        raise ResourceWarning(f"{mode} mode capped at {cap} boxes")
+        raise ResourceLimit(f"{n} boxes exceeds the {mode} cap {cap}")
     ctx = ResidueContext(n)
     exps = _exponent_vector(jm_exponents, n)
     if mode == "residue":
@@ -642,13 +642,15 @@ def character_for_braid(jm_exponents: list[int], mode: str = "residue",
 
 def _series_by_a(num: LaurentPoly, den: LaurentPoly, var: str,
                  order: int) -> dict[int, dict[int, Fraction]]:
-    """{a_exp: series in ``var``} of num/den; both may involve only ``var``
-    and a, and den is free of a."""
+    """{a_exp: series in ``var``} of num/den up to ``var``-degree ``order``.
+
+    a is a coefficient; the lowest ``var``-degree part of den must be one
+    monomial (see ``RatFunc.series_qt``).
+    """
     iv = num.registry.index(var)
-    den1 = {e[iv]: c for e, c in den.terms.items()}
-    return {a_exp: RationalFunc1({e[iv]: c for e, c in poly.terms.items()},
-                                 den1).series(order)
-            for a_exp, poly in num.coefficients_in("a").items()}
+    series = RatFunc(num, [den], cancel=False).series_qt(order, var)
+    return {a_exp: {e[iv]: c for e, c in poly.terms.items()}
+            for a_exp, poly in series.coefficients_in("a").items()}
 
 
 def _char_side_series(ch: Character, n: int, writhe: int,

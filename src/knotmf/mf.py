@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ring import LaurentPoly, QuotientReducer, VarRegistry, QQ, coeff_div
+from .ring import (LaurentPoly, QuotientReducer, ResourceLimit, VarRegistry,
+                   QQ, coeff_div)
 
 # ---------------------------------------------------------------------------
 # Registries.  Gradings: deg x = q^2, deg y = q^-2 t^-2, group entries
@@ -810,7 +811,7 @@ def extract_middle(chart: MiddleChart, mu: tuple[int, int],
     if f_poly is not None:
         _certify_exact(chart, f_poly, degree_bound)
     if abs(mu[0]) + abs(mu[1]) > degree_bound - 2:
-        raise ResourceWarning(
+        raise ResourceLimit(
             f"middle weight {mu} too deep for the degree bound {degree_bound}")
     reg = chart.registry
     hits = []

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 QQ = Fraction
+
+
+class ResourceLimit(RuntimeError):
+    """A computation refused because its input exceeds a size cap or bound."""
 
 
 def as_coeff(c):
@@ -212,7 +216,8 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "LaurentPoly"):
-        if self.registry != other.registry:
+        if self.registry is not other.registry and \
+                self.registry != other.registry:
             raise ValueError("registry mismatch")
 
     def __add__(self, other):
@@ -299,14 +304,22 @@ class LaurentPoly:
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
         """Exact quotient self/divisor, or None if it does not divide.
 
-        Works for Laurent polynomials by clearing monomial units first; the
-        division loop is plain lead-term reduction by the single divisor in
-        lex order.  If the division is exact, exponent ranges add under the
-        product, so every quotient exponent lies in the box
-        [min_n - min_d, max_n - max_d] in each variable; the first lead
-        quotient exponent outside it proves "does not divide".  The lead
-        quotient exponents strictly decrease in lex order inside that finite
-        box, so the box also bounds the loop.
+        A monomial divisor is a unit.  A binomial divisor is written
+        c*x^e*(1 - r*x^g) with x^e its lex-smaller term, so g is
+        lex-positive.  The dividend's exponents fall into chains f0 + k*g,
+        and along each chain the running sum acc <- r*acc + p_k is c times
+        the quotient's coefficient at x^(f0 + k*g - e).  The division is
+        exact iff every chain's sum ends at 0 at its top exponent: linear in
+        the dividend and the quotient, with no budget and no guess.  The
+        trace atoms s = q - q^-1, u = 1 - a^-2 and every localization
+        denominator 1 - m are binomials.
+
+        Other divisors go through lead-term reduction in lex order.  If the
+        division is exact, exponent ranges add under the product, so every
+        quotient exponent lies in the box [min_n - min_d, max_n - max_d] in
+        each variable; the first lead quotient exponent outside it proves
+        "does not divide".  The lead quotient exponents strictly decrease in
+        lex order inside that finite box, so the box also bounds the loop.
         """
         self._check(divisor)
         if divisor.is_zero():
@@ -318,7 +331,12 @@ class LaurentPoly:
             return LaurentPoly._raw(self.registry, {
                 tuple(a - b for a, b in zip(e, e0)): coeff_div(c, c0)
                 for e, c in self.terms.items()})
+        if len(divisor.terms) == 2:
+            return self._div_binomial(divisor)
+        return self._div_lex(divisor)
 
+    def _div_lex(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
+        """``exact_div`` by lead-term reduction, for any non-monomial divisor."""
         box = []
         for i in range(self.registry.nvars):
             exps_n = [e[i] for e in self.terms]
@@ -349,6 +367,47 @@ class LaurentPoly:
                 else:
                     remainder[k] = s
         return LaurentPoly._raw(self.registry, q_terms)
+
+    def _div_binomial(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
+        """``exact_div`` by a two-term divisor: chain running sums."""
+        (e, c), (eg, cg) = sorted(divisor.terms.items())
+        g = tuple(map(sub, eg, e))
+        j = 0
+        while not g[j]:
+            j += 1
+        gj = g[j]
+        r = coeff_div(-cg, c)
+        # chains keyed by their exponent at k = 0; kgs caches k -> k*g
+        chains: dict[tuple[int, ...], list] = {}
+        kgs: dict[int, tuple[int, ...]] = {}
+        for f, p in self.terms.items():
+            k = f[j] // gj
+            kg = kgs.get(k)
+            if kg is None:
+                kg = kgs[k] = tuple([k * x for x in g])
+            chains.setdefault(tuple(map(sub, f, kg)), []).append((k, f, p))
+        acc_terms: dict[tuple[int, ...], Fraction] = {}  # c * quotient
+        for chain in chains.values():
+            if len(chain) == 1:  # a lone term cannot cancel
+                return None
+            chain.sort()
+            acc = prev = 0
+            for k, f, p in chain:
+                if acc:  # a nonzero acc runs on through the gap since prev
+                    for _ in range(prev + 1, k):
+                        acc = r * acc
+                        x = tuple(map(add, x, g))
+                        acc_terms[x] = acc
+                acc = r * acc + p
+                if acc:
+                    x = tuple(map(sub, f, e))
+                    acc_terms[x] = acc
+                prev = k
+            if acc:
+                return None
+        c_inv = coeff_div(1, c)
+        return LaurentPoly._raw(self.registry, {
+            x: as_coeff(a * c_inv) for x, a in acc_terms.items()})
 
     def substitute(self, images: Mapping[str, "LaurentPoly"],
                    target: VarRegistry | None = None) -> "LaurentPoly":

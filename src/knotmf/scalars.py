@@ -1,17 +1,16 @@
-"""Scalar fields for the trace computation and series utilities.
+"""Scalar fields for the trace computation and rational functions.
 
-Three layers:
+Two classes:
 
 * ``Scalar`` -- Laurent polynomials in (q, a) divided by powers of the two
   atoms s = q - 1/q and u = 1 - 1/a^2.  The Markov trace never produces any
   other denominator, so reduction is exact division by atoms, no general gcd.
-  Both atoms are a unit times X - 1 with X = q^2 or a^2, so division by one
-  is a slice-sum test plus synthetic division (``_div_atom``): linear in the
-  terms and the quotient, never a guess, and the reduced form is canonical.
-* ``RationalFunc1`` -- univariate rational functions with exact series
-  expansion and simple-pole residues.
+  Both atoms are binomials, so each division is ``LaurentPoly.exact_div``'s
+  chain test: linear in the terms and the quotient, never a guess, and the
+  reduced form is canonical.
 * ``RatFunc`` -- multivariate rational functions with a factored denominator
-  list, used by the localization formulas.
+  list, used by the localization formulas, with exact truncated series
+  expansion (``series_qt``).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ring import LaurentPoly, VarRegistry, QQ, as_coeff
+from .ring import LaurentPoly, VarRegistry, QQ
 
 # Registry underlying every Scalar: q carries the q-grading, a the a-grading.
 REG_QA = VarRegistry.make([("q", 1, 0), ("a", 0, 0)])
@@ -31,37 +30,6 @@ def qa_poly(terms: Mapping[tuple[int, int], Fraction]) -> LaurentPoly:
 
 S_ATOM = qa_poly({(1, 0): QQ(1), (-1, 0): QQ(-1)})       # q - q^-1
 U_ATOM = qa_poly({(0, 0): QQ(1), (0, -2): QQ(-1)})       # 1 - a^-2
-
-
-def _div_atom(terms: Mapping[tuple[int, int], Fraction], var: int,
-              shift: int) -> dict[tuple[int, int], Fraction] | None:
-    """Exact quotient of a (q, a) term dict by x^-shift * (x^2 - 1), or None.
-
-    ``var`` is the index of x: s = q^-1 (q^2 - 1) is (0, 1) and
-    u = a^-2 (a^2 - 1) is (1, 2).  Multiplying by X - 1, X = x^2, keeps the
-    other variable's exponent and the parity of x's exponent, so the terms
-    split into slices by that pair, each a Laurent polynomial in X alone.  A
-    slice is divisible by X - 1 iff its coefficients sum to 0; then the
-    quotient's coefficient at x^f is the sum of the slice's coefficients at
-    exponents above f, times the unit x^shift.  None means the atom provably
-    does not divide.
-    """
-    slices: dict[tuple[int, int], list] = {}
-    for e, c in terms.items():
-        slices.setdefault((e[1 - var], e[var] & 1), []).append((e[var], c))
-    if any(sum(c for _, c in items) for items in slices.values()):
-        return None
-    out: dict[tuple[int, int], Fraction] = {}
-    for (other, _), items in slices.items():
-        items.sort(reverse=True)
-        acc = 0
-        for (e, c), (below, _) in zip(items, items[1:]):
-            acc += c
-            if acc:
-                val = acc if type(acc) is int else as_coeff(acc)
-                for f in range(e - 2 + shift, below - 1 + shift, -2):
-                    out[(f, other) if var == 0 else (other, f)] = val
-    return out
 
 
 class Scalar:
@@ -151,25 +119,22 @@ class Scalar:
     def reduce(self) -> "Scalar":
         """Cancel every atom power that divides the numerator.
 
-        Each step is ``_div_atom``: the numerator's slices by (other
-        exponent, parity) either all sum to 0 and the atom divides, or one
-        does not and it provably does not.  So the result is the canonical
-        form: equal scalars reduce to the same numerator and exponents.
+        Each step is ``exact_div`` by a binomial atom, which either divides
+        or provably does not, so the result is the canonical form: equal
+        scalars reduce to the same numerator and exponents.
         """
-        terms, se, ue = self.num.terms, self.s_exp, self.u_exp
-        if not terms:
-            return Scalar(self.num, 0, 0)
+        num, se, ue = self.num, self.s_exp, self.u_exp
         while se:
-            t = _div_atom(terms, 0, 1)
+            t = num.exact_div(S_ATOM)
             if t is None:
                 break
-            terms, se = t, se - 1
+            num, se = t, se - 1
         while ue:
-            t = _div_atom(terms, 1, 2)
+            t = num.exact_div(U_ATOM)
             if t is None:
                 break
-            terms, ue = t, ue - 1
-        return Scalar(LaurentPoly._raw(REG_QA, terms), se, ue)
+            num, ue = t, ue - 1
+        return Scalar(num, se, ue)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -202,12 +167,11 @@ class Scalar:
         num = self.num.evaluate({"q": q_val})
         if self.s_exp:
             num = num * (QQ(1) / s_val ** self.s_exp)
-        terms = num.terms
         for _ in range(self.u_exp):
-            terms = _div_atom(terms, 1, 2)
-            if terms is None:
+            num = num.exact_div(U_ATOM)
+            if num is None:
                 raise ArithmeticError("u atom does not cancel")
-        return LaurentPoly._raw(REG_QA, terms)
+        return num
 
     def __str__(self):
         den = []
@@ -220,163 +184,6 @@ class Scalar:
         return f"({self.num}) / ({'*'.join(den)})"
 
     __repr__ = __str__
-
-
-class RationalFunc1:
-    """Univariate rational function num/den with Fraction coefficients.
-
-    Polynomials are dicts exponent -> coefficient (Laurent allowed).
-    """
-
-    def __init__(self, num: Mapping[int, Fraction], den: Mapping[int, Fraction]):
-        self.num = {int(k): QQ(v) for k, v in num.items() if QQ(v) != 0}
-        self.den = {int(k): QQ(v) for k, v in den.items() if QQ(v) != 0}
-        if not self.den:
-            raise ZeroDivisionError("zero denominator")
-        self._gcd_reduce()
-
-    # polynomial helpers -------------------------------------------------
-
-    @staticmethod
-    def _shift_nonneg(p: dict[int, Fraction]) -> tuple[dict[int, Fraction], int]:
-        if not p:
-            return {}, 0
-        m = min(p)
-        if m < 0:
-            return {k - m: v for k, v in p.items()}, m
-        return dict(p), 0
-
-    @staticmethod
-    def _pmul(p, q):
-        out: dict[int, Fraction] = {}
-        for i, a in p.items():
-            for j, b in q.items():
-                out[i + j] = out.get(i + j, QQ(0)) + a * b
-        return {k: v for k, v in out.items() if v != 0}
-
-    @staticmethod
-    def _padd(p, q):
-        out = dict(p)
-        for k, v in q.items():
-            s = out.get(k, QQ(0)) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
-
-    @staticmethod
-    def _pdivmod(p, q):
-        p = dict(p)
-        out: dict[int, Fraction] = {}
-        dq = max(q)
-        lc = q[dq]
-        while p and max(p) >= dq:
-            dp = max(p)
-            c = p[dp] / lc
-            out[dp - dq] = c
-            for k, v in q.items():
-                nk = dp - dq + k
-                s = p.get(nk, QQ(0)) - c * v
-                if s == 0:
-                    p.pop(nk, None)
-                else:
-                    p[nk] = s
-        return out, p
-
-    @classmethod
-    def _pgcd(cls, p, q):
-        p, _ = cls._shift_nonneg(p)
-        q, _ = cls._shift_nonneg(q)
-        while q:
-            _, r = cls._pdivmod(p, q)
-            p, q = q, r
-            q, _ = cls._shift_nonneg(q)
-        if not p:
-            return {0: QQ(1)}
-        lc = p[max(p)]
-        return {k: v / lc for k, v in p.items()}
-
-    def _gcd_reduce(self):
-        g = self._pgcd(self.num, self.den)
-        if max(g, default=0) > 0 or g.get(0) != 1:
-            num_s, sn = self._shift_nonneg(self.num)
-            den_s, sd = self._shift_nonneg(self.den)
-            qn, rn = self._pdivmod(num_s, g)
-            qd, rd = self._pdivmod(den_s, g)
-            if not rn and not rd:
-                self.num = {k + sn: v for k, v in qn.items()}
-                self.den = {k + sd: v for k, v in qd.items()}
-
-    # arithmetic -----------------------------------------------------------
-
-    def __mul__(self, other: "RationalFunc1") -> "RationalFunc1":
-        return RationalFunc1(self._pmul(self.num, other.num),
-                             self._pmul(self.den, other.den))
-
-    def __add__(self, other: "RationalFunc1") -> "RationalFunc1":
-        num = self._padd(self._pmul(self.num, other.den),
-                         self._pmul(other.num, self.den))
-        return RationalFunc1(num, self._pmul(self.den, other.den))
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunc1):
-            return NotImplemented
-        return self._pmul(self.num, other.den) == self._pmul(other.num, self.den)
-
-    def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
-
-    # series and residues ----------------------------------------------------
-
-    def series(self, order: int) -> dict[int, Fraction]:
-        """Exact expansion at 0 up to and including degree ``order``.
-
-        Works in Laurent mode: the valuation of the denominator shifts the
-        series; the lowest denominator coefficient must be invertible (it is,
-        over Q, once nonzero).
-        """
-        num, den = dict(self.num), dict(self.den)
-        vden = min(den)
-        den = {k - vden: v for k, v in den.items()}
-        num = {k - vden: v for k, v in num.items()}
-        c0 = den[0]
-        # inverse of den as a power series, to enough terms
-        top = order - (min(num) if num else 0) + 1
-        inv = {0: 1 / c0}
-        for k in range(1, max(0, top) + 1):
-            acc = QQ(0)
-            for j, v in den.items():
-                if 0 < j <= k:
-                    acc += v * inv.get(k - j, QQ(0))
-            inv[k] = -acc / c0
-        out: dict[int, Fraction] = {}
-        for i, a in num.items():
-            for j, b in inv.items():
-                if i + j <= order:
-                    out[i + j] = out.get(i + j, QQ(0)) + a * b
-        return {k: v for k, v in out.items() if v != 0}
-
-    def residue_at(self, point: Fraction) -> Fraction:
-        """Residue at a simple pole; raises on higher order poles."""
-        point = QQ(point)
-
-        def ev(p):
-            return sum(c * point ** k for k, c in p.items())
-
-        def dv(p):
-            return sum(c * k * point ** (k - 1) for k, c in p.items() if k)
-
-        if ev(self.den) != 0:
-            raise ValueError("not a pole")
-        if dv(self.den) == 0:
-            raise ValueError("pole of order >= 2")
-        return ev(self.num) / dv(self.den)
-
-    def __str__(self):
-        def fmt(p):
-            return " + ".join(f"{c}*z^{k}" for k, c in sorted(p.items())) or "0"
-        return f"({fmt(self.num)}) / ({fmt(self.den)})"
 
 
 class RatFunc:
@@ -494,40 +301,50 @@ class RatFunc:
         return RatFunc(self.num.substitute(images, target),
                        [f.substitute(images, target) for f in self.den])
 
-    def series_qt(self, order: int, q_name: str, t_name: str) -> LaurentPoly:
-        """Truncated expansion inverting denominator factors as series.
+    def series_qt(self, order: int, *names: str) -> LaurentPoly:
+        """Expansion up to total degree ``order`` in the variables ``names``.
 
-        Every denominator factor must have an invertible 'constant' term
-        relative to the total (q_name, t_name) valuation.
+        The other variables are coefficients.  The lowest-degree part of
+        every denominator factor f must be one monomial c*m, of any degree;
+        then f = c*m*(1 - g) with every term of g of positive degree, and
+        1/f = (c*m)^-1 * sum_k g^k.  Each geometric sum runs as far as the
+        valuation of the rest of the product requires, so a numerator of
+        negative degree loses nothing below ``order``.
         """
         reg = self.registry
-        qi, ti = reg.index(q_name), reg.index(t_name)
+        idx = [reg.index(name) for name in names]
 
-        def tot(e):
-            return e[qi] + e[ti]
+        def deg(e):
+            return sum(e[i] for i in idx)
 
-        def trunc(p: LaurentPoly) -> LaurentPoly:
-            return LaurentPoly(reg, {e: c for e, c in p.terms.items()
-                                     if tot(e) <= order})
+        def trunc(p: LaurentPoly, top: int) -> LaurentPoly:
+            return LaurentPoly._raw(reg, {e: c for e, c in p.terms.items()
+                                          if deg(e) <= top})
 
-        out = self.num
+        out, tails = self.num, []
         for f in self.den:
-            # split f = c*m0*(1 - g) with m0 the minimal-valuation monomial
-            items = sorted(f.terms.items(), key=lambda ec: (tot(ec[0]), ec[0]))
-            e0, c0 = items[0]
-            if tot(e0) != 0 or any(tot(e) < 0 for e, _ in f.terms.items()):
-                raise ValueError("factor not invertible as a (Q,T) series")
-            minv = LaurentPoly(reg, {tuple(-x for x in e0): QQ(1) / c0})
-            g = LaurentPoly.const(reg, 1) - f * minv
-            inv = LaurentPoly.const(reg, 1)
-            power = LaurentPoly.const(reg, 1)
-            for _ in range(order + 1):
-                power = trunc(power * g)
+            low = min(map(deg, f.terms))
+            lead = [(e, c) for e, c in f.terms.items() if deg(e) == low]
+            if len(lead) != 1:
+                raise ValueError(f"factor {f} has no single lowest-degree "
+                                 f"monomial in {', '.join(names)}")
+            minv = LaurentPoly._raw(reg, dict(lead)) ** -1
+            out = out * minv
+            tails.append(LaurentPoly.const(reg, 1) - f * minv)
+        out = trunc(out, order)
+        if out.is_zero():
+            return out
+        # the factors 1/(1 - g) have degree >= 0: they need terms up to this
+        top = order - min(map(deg, out.terms))
+        for g in tails:
+            inv = power = LaurentPoly.const(reg, 1)
+            for _ in range(top):
+                power = trunc(power * g, top)
                 if power.is_zero():
                     break
                 inv = inv + power
-            out = trunc(out * inv * minv)
-        return trunc(out)
+            out = trunc(out * inv, order)
+        return out
 
     def __str__(self):
         if not self.den:

@@ -1,6 +1,6 @@
 import pytest
 
-from knotmf.localization import (Partition, ResidueContext,
+from knotmf.localization import (Partition, ResidueContext, _series_by_a,
                                  braid_exponents_to_boxes,
                                  chain_box_values, chain_is_syt,
                                  full_twist_shift_check,
@@ -8,8 +8,8 @@ from knotmf.localization import (Partition, ResidueContext,
                                  p1_cohomology, partitions_of,
                                  residue_pushforward, superpoly_jm,
                                  syt_enumerate, syt_term, term_to_ratfunc)
-from knotmf.ring import LaurentPoly, QQ
-from knotmf.scalars import RatFunc
+from knotmf.ring import LaurentPoly, QQ, ResourceLimit
+from knotmf.scalars import REG_QA, RatFunc
 
 
 def test_partition_validity():
@@ -185,8 +185,19 @@ def test_character_json():
 
 
 def test_guard_caps():
-    with pytest.raises(ResourceWarning):
+    with pytest.raises(ResourceLimit):
         superpoly_jm([1] * 5, mode="residue")
+
+
+def test_series_by_a_with_a_in_the_denominator():
+    q, a = LaurentPoly.var(REG_QA, "q"), LaurentPoly.var(REG_QA, "a")
+    one = LaurentPoly.const(REG_QA, 1)
+    # 1/(1 - a q) = sum a^k q^k: the a-exponents must not merge
+    assert _series_by_a(one, one - a * q, "q", 3) == {
+        k: {k: 1} for k in range(4)}
+    # lowest q-degree part 1 - a is not one monomial
+    with pytest.raises(ValueError):
+        _series_by_a(one, one - a + q, "q", 3)
 
 
 def test_zeta_kernel():

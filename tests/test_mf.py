@@ -13,7 +13,8 @@ from knotmf.mf import (CEPresentation, CHI1, CHI2, GradedTwist, KoszulMF,
                        named_mf, standard_presentation, twisted_lower_entry,
                        verify_suite, _chart_full_a, _expected_display_rows,
                        _reducer_conv)
-from knotmf.ring import LaurentPoly, QuotientReducer, VarRegistry, QQ
+from knotmf.ring import (LaurentPoly, QuotientReducer, ResourceLimit,
+                         VarRegistry, QQ)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -199,6 +200,11 @@ def test_certifier_rejects_nontrivial_action():
     v = lambda n: LaurentPoly.var(chart.registry, n)
     with pytest.raises(AssertionError, match="acts nontrivially"):
         extract_middle(chart, (1, 0), v("a11") * v("a22"), 4)
+
+
+def test_middle_weight_too_deep_is_a_resource_limit():
+    with pytest.raises(ResourceLimit, match="too deep"):
+        extract_middle(_chart_full_a(), (3, 0), None, degree_bound=4)
 
 
 def test_certifier_rejects_inexact_differential():

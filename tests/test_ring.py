@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from knotmf.ring import LaurentPoly, QuotientReducer, VarRegistry
+from knotmf.scalars import REG_QA
 
 REG = VarRegistry.make([("x", 0, 0), ("y", 0, 0), ("z", 0, 0)])
 REG_A = VarRegistry.make([("a11", 0, 0), ("a12", 0, 0),
@@ -153,12 +154,12 @@ def mixed_coeffs(draw):
 
 
 @st.composite
-def mixed_polys(draw, max_terms=4):
+def mixed_polys(draw, max_terms=4, reg=REG):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
-        e = tuple(draw(st.integers(-3, 3)) for _ in range(REG.nvars))
+        e = tuple(draw(st.integers(-3, 3)) for _ in range(reg.nvars))
         terms[e] = draw(mixed_coeffs())
-    return LaurentPoly(REG, terms)
+    return LaurentPoly(reg, terms)
 
 
 def assert_canonical(p):
@@ -214,3 +215,43 @@ def test_exact_division_non_monic():
     assert type(three.constant_value()) is int and three == 3
     assert (x * Fraction(4, 3)).exact_div(x * Fraction(2, 3)).terms == {
         (0, 0, 0): 2}
+
+
+@st.composite
+def binomial_division_cases(draw):
+    """(dividend, binomial divisor, divisible) over (q, a) or (x, y, z)."""
+    reg = draw(st.sampled_from([REG_QA, REG]))
+    exps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * reg.nvars),
+                         min_size=2, max_size=2, unique=True))
+    (e, c), (eg, cg) = sorted((e, draw(mixed_coeffs().filter(bool)))
+                              for e in exps)
+    divisor = LaurentPoly(reg, {e: c, eg: cg})
+    # times the divisor, the geometric sum in -cg/c * x^(eg - e) leaves two
+    # terms on one chain, and the quotient fills the gap between them
+    ratio = LaurentPoly(reg, {tuple(a - b for a, b in zip(eg, e)):
+                              Fraction(-cg) / c})
+    p = draw(mixed_polys(6, reg)) + sum(
+        (ratio ** i for i in range(draw(st.integers(0, 5)))),
+        LaurentPoly(reg, {}))
+    divisible = draw(st.booleans())
+    if divisible:
+        p = p * divisor
+    return p, divisor, divisible
+
+
+@settings(max_examples=400, deadline=None)
+@given(binomial_division_cases())
+def test_binomial_division_matches_lex(case):
+    """The chain-sum path of exact_div against the lex reduction loop."""
+    p, divisor, divisible = case
+    fast = p.exact_div(divisor)
+    if p.is_zero():
+        assert fast == p
+        return
+    slow = p._div_lex(divisor)
+    assert (fast is None) == (slow is None)
+    if divisible:
+        assert fast is not None and fast * divisor == p
+    if fast is not None:
+        assert_canonical(fast)
+        assert fast.terms == slow.terms

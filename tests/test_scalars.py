@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotmf.ring import LaurentPoly, QQ
-from knotmf.scalars import (REG_QA, RatFunc, RationalFunc1, S_ATOM, Scalar,
-                            U_ATOM, _div_atom, qa_poly)
+from knotmf.ring import LaurentPoly, QQ, VarRegistry
+from knotmf.scalars import REG_QA, RatFunc, S_ATOM, Scalar, U_ATOM, qa_poly
 
 
 def test_loop_value_times_z_is_a():
@@ -56,21 +55,6 @@ def test_reduce_is_canonical(p, i, j):
     assert hash(r) == hash(Scalar(p))
 
 
-@settings(max_examples=200, deadline=None)
-@given(qa_polys(), st.booleans(), st.booleans())
-def test_div_atom_matches_exact_div(p, use_u, multiply):
-    var, shift, atom = (1, 2, U_ATOM) if use_u else (0, 1, S_ATOM)
-    if multiply:
-        p = p * atom
-    quotient = _div_atom(p.terms, var, shift)
-    expected = p.exact_div(atom)
-    assert (quotient is None) == (expected is None)
-    if multiply:
-        assert quotient is not None
-    if quotient is not None:
-        assert LaurentPoly(REG_QA, quotient) == expected
-
-
 @pytest.mark.parametrize("num, s_exp, u_exp", [
     (qa_poly({(1200, 0): QQ(1), (0, 0): QQ(-1)}), 1, 0),
     (qa_poly({(0, 1200): QQ(1), (0, 0): QQ(-1)}), 0, 1),
@@ -95,39 +79,62 @@ def test_hash_agrees_with_eq():
         hash(RatFunc(one))
 
 
+REG_ZW = VarRegistry.make([("z", 0, 0), ("w", 0, 0)])
+Z = LaurentPoly.var(REG_ZW, "z")
+ONE = LaurentPoly.const(REG_ZW, 1)
+
+
+def z_series(terms):
+    return LaurentPoly(REG_ZW, {(k, 0): c for k, c in terms.items()})
+
+
 def test_series_examples():
-    one_over = RationalFunc1({0: QQ(1)}, {0: QQ(1), 1: QQ(-1)})
-    assert one_over.series(3) == {0: 1, 1: 1, 2: 1, 3: 1}
-    f = RationalFunc1({1: QQ(1)}, {1: QQ(1), 0: QQ(-1)})  # z/(z-1)
-    assert f.residue_at(QQ(1)) == 1
-    g = RationalFunc1({0: QQ(1)}, {0: QQ(1), 2: QQ(-1)})  # 1/(1-q^2)
-    assert g.series(4) == {0: 1, 2: 1, 4: 1}
+    assert RatFunc(ONE, [ONE - Z]).series_qt(3, "z") == z_series(
+        {0: 1, 1: 1, 2: 1, 3: 1})
+    assert RatFunc(ONE, [ONE - Z ** 2]).series_qt(4, "z") == z_series(
+        {0: 1, 2: 1, 4: 1})
+
+
+def test_simple_pole_residue():
+    # the residue of z/(z-1) at z = 1 is the w^-1 coefficient at z = 1 + w
+    w = LaurentPoly.var(REG_ZW, "w")
+    f = RatFunc(Z, [Z - ONE]).substitute({"z": ONE + w})
+    assert f.series_qt(0, "w").terms[(0, -1)] == 1
 
 
 def test_series_of_product_matches():
-    f = RationalFunc1({0: QQ(1)}, {0: QQ(1), 1: QQ(-2)})
-    g = RationalFunc1({0: QQ(3), 1: QQ(1)}, {0: QQ(1), 2: QQ(5)})
+    f = RatFunc(ONE, [ONE - 2 * Z])
+    g = RatFunc(3 + Z, [ONE + 5 * Z ** 2])
     order = 6
-    prod = (f * g).series(order)
-    fs, gs = f.series(order), g.series(order)
-    direct = {}
-    for i, a in fs.items():
-        for j, b in gs.items():
-            if i + j <= order:
-                direct[i + j] = direct.get(i + j, QQ(0)) + a * b
-    assert prod == {k: v for k, v in direct.items() if v}
+    direct = f.series_qt(order, "z") * g.series_qt(order, "z")
+    assert (f * g).series_qt(order, "z") == LaurentPoly(REG_ZW, {
+        e: c for e, c in direct.terms.items() if e[0] <= order})
 
 
 def test_series_laurent_mode():
     # 1/(z(1-z)) has a simple pole at 0
-    f = RationalFunc1({0: QQ(1)}, {1: QQ(1), 2: QQ(-1)})
-    assert f.series(2) == {-1: 1, 0: 1, 1: 1, 2: 1}
+    assert RatFunc(ONE, [Z - Z ** 2]).series_qt(2, "z") == z_series(
+        {-1: 1, 0: 1, 1: 1, 2: 1})
 
 
-def test_residue_rejects_higher_order():
-    f = RationalFunc1({0: QQ(1)}, {0: QQ(1), 1: QQ(-2), 2: QQ(1)})
+def test_series_numerator_of_negative_degree():
+    reg = VarRegistry.make([("Q", 0, 0), ("T", 0, 0)])
+    q = LaurentPoly.var(reg, "Q")
+    one = LaurentPoly.const(reg, 1)
+    got = RatFunc(q ** -1, [one - q]).series_qt(2, "Q", "T")
+    assert got == q ** -1 + one + q + q ** 2
+
+
+def test_series_needs_one_lowest_monomial():
+    reg = VarRegistry.make([("Q", 0, 0), ("T", 0, 0)])
+    q, t = LaurentPoly.var(reg, "Q"), LaurentPoly.var(reg, "T")
+    one = LaurentPoly.const(reg, 1)
+    # 1 - Q/T: both terms have total degree 0
     with pytest.raises(ValueError):
-        f.residue_at(QQ(1))
+        RatFunc(one, [one - q * t ** -1]).series_qt(3, "Q", "T")
+    # the same factor is fine when only Q is graded
+    assert RatFunc(one, [one - q * t ** -1]).series_qt(2, "Q") == (
+        one + q * t ** -1 + q ** 2 * t ** -2)
 
 
 def test_ratfunc_sum_and_cancel():
