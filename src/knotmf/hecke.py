@@ -8,6 +8,12 @@ It is computed with z formal: tr T_w is a polynomial in z with Z[q^+-1]
 coefficients, and z is substituted once per trace.  The closure invariant
 multiplies back the loop value D = (a - a^{-1})/(q - q^{-1}) per strand and
 a^{-writhe}.
+
+One kernel, ``_right_mul``, multiplies raw rows {permutation images:
+{q exponent: int}} by g_i or g_i^{-1} in place; every product and the trace
+cache go through it, and ``from_braid`` wraps ``LaurentPoly``s only once at
+the end.  ``homflypt`` puts D^n, a^{-writhe} and the z-expansion over one
+denominator s^n u^K and reduces once.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .braid import BraidWord, Permutation
-from .ring import LaurentPoly, QQ
+from .ring import LaurentPoly, QQ, as_coeff
 from .scalars import REG_QA, S_ATOM, U_ATOM, Scalar
 
 
@@ -24,21 +30,15 @@ def qpoly(terms: dict[int, QQ]) -> LaurentPoly:
     return LaurentPoly(REG_QA, {(k, 0): v for k, v in terms.items()})
 
 
-Q_S = S_ATOM  # q - q^-1
-
-
 class HeckeElement:
-    """Finite sum of T_w with Laurent polynomial coefficients in q."""
+    """Finite sum of T_w with coefficients in Z[q^+-1], held in ``REG_QA``."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], LaurentPoly] | None = None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self.terms[tuple(w)] = c
+        self.terms = {tuple(w): c for w, c in (terms or {}).items()
+                      if not c.is_zero()}
 
     @staticmethod
     def unit(n: int) -> "HeckeElement":
@@ -69,38 +69,26 @@ class HeckeElement:
 
     def mul_gen(self, i: int) -> "HeckeElement":
         """Right multiplication by g_i (positive generator)."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError("generator index out of range")
-        out: dict[tuple[int, ...], LaurentPoly] = {}
-
-        def acc(w, c):
-            s = out.get(w, LaurentPoly.zero(REG_QA)) + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-
-        for wim, c in self.terms.items():
-            x, y = wim[i - 1], wim[i]
-            acc(wim[:i - 1] + (y, x) + wim[i + 1:], c)  # w s_i
-            # l(w s_i) < l(w) exactly when w(i) > w(i+1): quadratic relation
-            if x > y:
-                acc(wim, c * Q_S)
-        return HeckeElement(self.n, out)
+        return self._mul_letter(i, False)
 
     def mul_gen_inv(self, i: int) -> "HeckeElement":
         """Right multiplication by g_i^{-1} = g_i - (q - q^{-1})."""
-        return self.mul_gen(i) - self.scale(Q_S)
+        return self._mul_letter(i, True)
+
+    def _mul_letter(self, i: int, inverse: bool) -> "HeckeElement":
+        if not 1 <= i <= self.n - 1:
+            raise ValueError("generator index out of range")
+        return _element(self.n, _right_mul(_rows(self), i, inverse))
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         if self.n != other.n:
             raise ValueError("strand mismatch")
         total = HeckeElement(self.n)
         for wim, c in other.terms.items():
-            piece = self.scale(c)
+            rows = _rows(self.scale(c))
             for i in Permutation(wim).reduced_word():
-                piece = piece.mul_gen(i)
-            total = total + piece
+                rows = _right_mul(rows, i, False)
+            total = total + _element(self.n, rows)
         return total
 
     def __eq__(self, other):
@@ -123,22 +111,82 @@ class HeckeElement:
     __repr__ = __str__
 
 
+# ---------------------------------------------------------------------------
+# Raw rows {permutation images: {q exponent: coefficient}} and the kernel
+
+
+def _rows(x: HeckeElement) -> dict:
+    """Fresh raw rows of x; a coefficient holding a raises ``ValueError``."""
+    rows = {}
+    for w, c in x.terms.items():
+        if c.registry != REG_QA or any(a for _, a in c.terms):
+            raise ValueError(f"Hecke coefficient {c} is not in Z[q^+-1]")
+        rows[w] = {e: v for (e, _), v in c.terms.items()}
+    return rows
+
+
+def _qpoly_raw(row: dict) -> LaurentPoly:
+    return LaurentPoly._raw(REG_QA, {(e, 0): as_coeff(v)
+                                     for e, v in row.items() if v})
+
+
+def _element(n: int, rows: dict) -> HeckeElement:
+    return HeckeElement(n, {w: _qpoly_raw(row) for w, row in rows.items()})
+
+
+def _acc(row: dict, c: dict, shift: int, sign: int) -> None:
+    """row += sign * q^shift * c in place, dropping zeros."""
+    get = row.get
+    for e, v in c.items():
+        e += shift
+        t = get(e, 0) + sign * v
+        if t:
+            row[e] = t
+        else:
+            del row[e]
+
+
+def _right_mul(rows: dict, i: int, inverse: bool) -> dict:
+    """rows * g_i, or rows * g_i^{-1} if ``inverse``; consumes ``rows``.
+
+    g_i sends c T_w to c T_{w s_i}, plus c (q - q^-1) T_w on a descent
+    w(i) > w(i+1); g_i^{-1} = g_i - (q - q^-1) instead subtracts
+    c (q - q^-1) T_w on an ascent.  Input rows become output accumulators.
+    """
+    out: dict = {}
+    get = out.get
+    for w, c in rows.items():
+        x, y = w[i - 1], w[i]
+        if (x > y) is not inverse:
+            row = get(w)
+            if row is None:
+                row = out[w] = {}
+            _acc(row, c, 1, -1 if inverse else 1)
+            _acc(row, c, -1, 1 if inverse else -1)
+        ws = w[:i - 1] + (y, x) + w[i + 1:]
+        row = get(ws)
+        if row is None:
+            out[ws] = c
+        else:
+            _acc(row, c, 0, 1)
+    return {w: row for w, row in out.items() if row}
+
+
+def _braid_rows(n: int, letters) -> dict:
+    """Raw rows of the product of the signed generators ``letters``."""
+    rows = {tuple(range(n)): {0: 1}}
+    for a in letters:
+        rows = _right_mul(rows, abs(a), a < 0)
+    return rows
+
+
 def gen_image(i: int, n: int) -> HeckeElement:
     """Image of the braid generator sigma_i (or its inverse for i < 0)."""
-    if i == 0 or abs(i) > n - 1:
-        raise ValueError("generator index out of range")
-    s = Permutation.transposition(n, abs(i))
-    if i > 0:
-        return HeckeElement.basis(n, s)
-    return (HeckeElement.basis(n, s)
-            + HeckeElement.unit(n).scale(-1 * Q_S))
+    return from_braid(BraidWord(n, (i,)))
 
 
 def from_braid(b: BraidWord) -> HeckeElement:
-    x = HeckeElement.unit(b.strands)
-    for a in b.letters:
-        x = x.mul_gen(a) if a > 0 else x.mul_gen_inv(-a)
-    return x
+    return _element(b.strands, _braid_rows(b.strands, b.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +202,12 @@ def _coset_cycle(n: int, j: int) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _trace_basis(images: tuple[int, ...]) -> tuple[LaurentPoly, ...]:
-    """z-expansion (P_0, ..., P_K) of tr T_w = sum_k P_k(q) z^k."""
+def _trace_basis(images: tuple[int, ...]) -> tuple[dict[int, int], ...]:
+    """z-expansion (P_0, ..., P_K) of tr T_w = sum_k P_k(q) z^k, each P_k
+    a raw {q exponent: int} dict that callers must not change."""
     n = len(images)
     if n == 1:
-        return (LaurentPoly.const(REG_QA, 1),)
+        return ({0: 1},)
     w = Permutation(images)
     if w.fixes(n):
         return _trace_basis(w.restrict(n - 1).images)
@@ -168,37 +217,45 @@ def _trace_basis(images: tuple[int, ...]) -> tuple[LaurentPoly, ...]:
     if not v.fixes(n) or w.length() != (n - j) + v.length():
         raise AssertionError("coset decomposition failed")
     # T_w = (g_j ... g_{n-2}) g_{n-1} T_v, so tr T_w = z tr(g_j..g_{n-2} T_v)
-    rest = HeckeElement.basis(n - 1, v.restrict(n - 1))
-    prefix = HeckeElement.unit(n - 1)
-    for i in range(j, n - 1):
-        prefix = prefix.mul_gen(i)
-    return (LaurentPoly.zero(REG_QA),) + tuple(_z_expansion(prefix * rest))
+    word = tuple(range(j, n - 1)) + v.restrict(n - 1).reduced_word()
+    rest = _z_expansion(_braid_rows(n - 1, word))
+    return ({},) + tuple({e: t for e, t in p.items() if t} for p in rest)
 
 
-def _z_expansion(x: HeckeElement) -> list[LaurentPoly]:
-    """Coefficients P_k of tr x = sum_k P_k(q) z^k, summed over the basis."""
-    out: list[LaurentPoly] = []
-    for w, c in x.terms.items():
+def _z_expansion(rows: dict) -> list[dict[int, int]]:
+    """Raw P_k of tr x = sum_k P_k(q) z^k, summed over the basis of rows;
+    entries may be zero."""
+    out: list[dict] = []
+    for w, c in rows.items():
         for k, p in enumerate(_trace_basis(w)):
-            if k < len(out):
-                out[k] = out[k] + c * p
-            else:
-                out.append(c * p)
+            if k == len(out):
+                out.append({})
+            acc = out[k]
+            get = acc.get
+            for e1, c1 in c.items():
+                for e2, c2 in p.items():
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
     return out
 
 
-def trace_ocneanu(x: HeckeElement) -> Scalar:
-    """Normalized Markov trace, tr(T_id) = 1, as a reduced Scalar.
+def _trace_scalar(rows: dict, a_part: LaurentPoly, s_exp: int) -> Scalar:
+    """a_part * tr(rows) / s^s_exp as num / (s^s_exp u^K), unreduced.
 
     With z = s/u the z-expansion sum_k P_k z^k of degree K is
-    (sum_k P_k s^k u^(K-k)) / u^K, reduced once.
+    (sum_k P_k s^k u^(K-k)) / u^K.
     """
-    coeffs = _z_expansion(x)
+    coeffs = _z_expansion(rows)
     top = max(len(coeffs) - 1, 0)
     num = LaurentPoly.zero(REG_QA)
     for k, p in enumerate(coeffs):
-        num = num + p * S_ATOM ** k * U_ATOM ** (top - k)
-    return Scalar(num, 0, top).reduce()
+        num = num + _qpoly_raw(p) * S_ATOM ** k * (U_ATOM ** (top - k) * a_part)
+    return Scalar(num, s_exp, top)
+
+
+def trace_ocneanu(x: HeckeElement) -> Scalar:
+    """Normalized Markov trace, tr(T_id) = 1, as a reduced Scalar."""
+    return _trace_scalar(_rows(x), LaurentPoly.const(REG_QA, 1), 0).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +314,15 @@ class InvariantValue:
 
 
 def homflypt(b: BraidWord) -> InvariantValue:
-    """Closure invariant: D^n a^{-writhe} tr(image of b)."""
-    tr = trace_ocneanu(from_braid(b))
-    d = Scalar.loop_value()
-    value = (d ** b.strands) * tr
-    value = value.mul_monomial(a_exp=-b.writhe())
-    return InvariantValue(value)
+    """Closure invariant: D^n a^{-writhe} tr(image of b), reduced once.
+
+    D^n = (a - a^-1)^n / s^n, so the value is
+    (a - a^-1)^n a^-writhe sum_k P_k s^k u^(K-k) / (s^n u^K).
+    """
+    n = b.strands
+    a_part = (Scalar.loop_value().num ** n
+              * LaurentPoly.monomial(REG_QA, {"a": -b.writhe()}))
+    return InvariantValue(_trace_scalar(_braid_rows(n, b.letters), a_part, n))
 
 
 def ktheory_skein_check() -> bool:

@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .ring import (LaurentPoly, QuotientReducer, ResourceLimit, VarRegistry,
                    QQ, coeff_div)
@@ -771,6 +772,8 @@ class MiddleChart:
     det_left: tuple[int, int]
     det_right: tuple[int, int]
     nf_lead: tuple[str, str] = ("", "")
+    _cycles: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def is_normal_form(self, mono: LaurentPoly) -> bool:
         u, v = self.nf_lead
@@ -779,6 +782,18 @@ class MiddleChart:
         e, _ = mono.monomial_parts()
         reg = self.registry
         return not (e[reg.index(u)] >= 1 and e[reg.index(v)] >= 1)
+
+    def cycles(self, degree_bound: int) -> list:
+        """(h, character) of the normal-form monomials h of degree at most
+        ``degree_bound`` with delta(h) = 0 and zero (q, t) weight; cached."""
+        if degree_bound not in self._cycles:
+            self._cycles[degree_bound] = [
+                (h, _char_of_monomial(self.registry, h))
+                for d in range(degree_bound + 1)
+                for h in self.delta.monomial_basis(d)
+                if self.is_normal_form(h) and self.delta.apply(h).is_zero()
+                and (w := h.weight_of()) is not None and w[:2] == (0, 0)]
+        return self._cycles[degree_bound]
 
 
 def _char_of_monomial(reg: VarRegistry, mono: LaurentPoly):
@@ -813,26 +828,15 @@ def extract_middle(chart: MiddleChart, mu: tuple[int, int],
     if abs(mu[0]) + abs(mu[1]) > degree_bound - 2:
         raise ResourceLimit(
             f"middle weight {mu} too deep for the degree bound {degree_bound}")
-    reg = chart.registry
     hits = []
-    for d in range(degree_bound + 1):
-        for h in chart.delta.monomial_basis(d):
-            if not chart.is_normal_form(h):
-                continue
-            if not chart.delta.apply(h).is_zero():
-                continue
-            w = h.weight_of()
-            if w is None or w[0] != 0 or w[1] != 0:
-                continue
-            ch = _char_of_monomial(reg, h)
-            mid = ch[1]
-            for k in DET_SHIFT_SCAN:
-                target = tuple(-m + k * dm for m, dm in zip(mu, chart.det_mid))
-                if tuple(mid) == target:
-                    left = tuple(a - k * b for a, b in zip(ch[0], chart.det_left))
-                    right = tuple(a - k * b for a, b in zip(ch[2], chart.det_right))
-                    hits.append((h, left, right, k))
-                    break
+    for h, ch in chart.cycles(degree_bound):
+        for k in DET_SHIFT_SCAN:
+            target = tuple(-m + k * dm for m, dm in zip(mu, chart.det_mid))
+            if ch[1] == target:
+                left = tuple(a - k * b for a, b in zip(ch[0], chart.det_left))
+                right = tuple(a - k * b for a, b in zip(ch[2], chart.det_right))
+                hits.append((h, left, right, k))
+                break
     return hits
 
 
@@ -1026,6 +1030,7 @@ def _outer_to_out(mf_obj: KoszulMF, row_indices, expect_kind: str):
     return base
 
 
+@lru_cache(maxsize=None)
 def _chart_full_a():
     delta = CEPresentation(REG_AC, ["a11", "a12", "a21", "a22"], {
         "a12": -LaurentPoly.var(REG_AC, "a11"),
@@ -1036,6 +1041,7 @@ def _chart_full_a():
                        nf_lead=("a11", "a22"))
 
 
+@lru_cache(maxsize=None)
 def _chart_tri_a():
     delta = CEPresentation(REG_ACT, ["a11", "a12", "a22"], {
         "a12": -LaurentPoly.var(REG_ACT, "a11"),
@@ -1045,6 +1051,7 @@ def _chart_tri_a():
                        nf_lead=("a11", "a22"))
 
 
+@lru_cache(maxsize=None)
 def _chart_tri_b():
     delta = CEPresentation(REG_CBT, ["b11", "b12", "b22"], {
         "b12": -LaurentPoly.var(REG_CBT, "b22"),

@@ -57,10 +57,6 @@ class Scalar:
         return Scalar.from_int(1)
 
     @staticmethod
-    def zero() -> "Scalar":
-        return Scalar.from_int(0)
-
-    @staticmethod
     def trace_z() -> "Scalar":
         """z = (q - q^-1)/(1 - a^-2), the Markov trace parameter."""
         return Scalar(S_ATOM, 0, 1)
@@ -101,14 +97,6 @@ class Scalar:
                       self.u_exp + other.u_exp).reduce()
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("Scalar powers are nonnegative; divide by atoms")
-        out = Scalar.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def mul_monomial(self, q_exp: int = 0, a_exp: int = 0, coeff=1) -> "Scalar":
         return Scalar(self.num * qa_poly({(q_exp, a_exp): QQ(coeff)}),

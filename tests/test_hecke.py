@@ -8,10 +8,10 @@ import pytest
 
 from knotmf.braid import (BraidWord, Permutation, full_twist, jm_element,
                           jm_power_braid, parse_braid)
-from knotmf.hecke import (HeckeElement, from_braid, gen_image, homflypt,
-                          ktheory_skein_check, qpoly, trace_ocneanu)
-from knotmf.ring import QQ
-from knotmf.scalars import S_ATOM, Scalar, qa_poly
+from knotmf.hecke import (HeckeElement, InvariantValue, from_braid, gen_image,
+                          homflypt, ktheory_skein_check, qpoly, trace_ocneanu)
+from knotmf.ring import QQ, LaurentPoly
+from knotmf.scalars import REG_QA, S_ATOM, Scalar, qa_poly
 from knotmf.verify import random_braid
 
 
@@ -85,6 +85,80 @@ def test_trefoil_image_against_brute_force():
 
 def test_from_braid_inverse_cancels():
     assert from_braid(parse_braid("1 -1", strands=2)) == HeckeElement.unit(2)
+
+
+def _ref_mul_gen(x, i, inverse=False):
+    """Reference right multiplication by g_i, accumulating ``LaurentPoly``
+    coefficients term by term; g_i^-1 = g_i - (q - q^-1)."""
+    out = {}
+
+    def acc(w, c):
+        s = out.get(w, LaurentPoly.zero(REG_QA)) + c
+        if s.is_zero():
+            out.pop(w, None)
+        else:
+            out[w] = s
+
+    for wim, c in x.terms.items():
+        a, b = wim[i - 1], wim[i]
+        acc(wim[:i - 1] + (b, a) + wim[i + 1:], c)
+        if a > b:
+            acc(wim, c * S_ATOM)
+    y = HeckeElement(x.n, out)
+    return y - x.scale(S_ATOM) if inverse else y
+
+
+def _int_coefficients(x):
+    return all(type(c) is int for p in x.terms.values() for c in p.terms.values())
+
+
+def test_kernel_matches_reference_multiplication():
+    """from_braid, mul_gen and mul_gen_inv against the reference on 200
+    seeded words with letters of both signs on 2-6 strands."""
+    rng = random.Random("hecke kernel")
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        for _ in range(rng.randint(0, 10)))
+        ref = HeckeElement.unit(n)
+        for a in letters:
+            ref = _ref_mul_gen(ref, abs(a), a < 0)
+        x = from_braid(BraidWord(n, letters))
+        assert x == ref and _int_coefficients(x)
+        i = rng.randint(1, n - 1)
+        up, down = x.mul_gen(i), x.mul_gen_inv(i)
+        assert up == _ref_mul_gen(ref, i) and _int_coefficients(up)
+        assert down == _ref_mul_gen(ref, i, True) and _int_coefficients(down)
+        assert x == ref  # the kernel works on copies of x's coefficients
+
+
+def test_homflypt_is_loop_values_times_trace():
+    """The single-reduce homflypt equals D^n tr(b) a^-writhe built from the
+    reduced trace, down to the printed canonical form."""
+    rng = random.Random("homflypt composition")
+    d = Scalar.loop_value()
+    for _ in range(40):
+        b = random_braid(rng, max_strands=5, max_length=10)
+        value = trace_ocneanu(from_braid(b))
+        for _ in range(b.strands):
+            value = d * value
+        old = InvariantValue(value.mul_monomial(a_exp=-b.writhe()))
+        p = homflypt(b)
+        assert p == old
+        assert str(p) == str(old)
+        assert p.a_coefficients() == old.a_coefficients()
+
+
+def test_coefficient_with_a_is_rejected():
+    x = HeckeElement.basis(2, Permutation.identity(2), qa_poly({(1, 1): QQ(1)}))
+    with pytest.raises(ValueError):
+        x.mul_gen(1)
+    with pytest.raises(ValueError):
+        x.mul_gen_inv(1)
+    with pytest.raises(ValueError):
+        HeckeElement.unit(2) * x
+    with pytest.raises(ValueError):
+        trace_ocneanu(x)
 
 
 def test_trace_normalization_and_markov():
