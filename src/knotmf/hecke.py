@@ -2,27 +2,31 @@
 
 Conventions: generators g_i satisfy the braid relations and
 g_i - g_i^{-1} = q - q^{-1}, equivalently g_i^2 = 1 + (q - q^{-1}) g_i.
-The basis is T_w, products of generators along reduced words.  The trace is
-normalized with tr(T_id) = 1 and Markov parameter z = (q - q^{-1})/(1 - a^{-2}).
-It is computed with z formal: tr T_w is a polynomial in z with Z[q^+-1]
-coefficients, and z is substituted once per trace.  The closure invariant
-multiplies back the loop value D = (a - a^{-1})/(q - q^{-1}) per strand and
-a^{-writhe}.
+The basis is T_w, products of generators along reduced words.  Write
+s = q - q^{-1} and u = 1 - a^{-2}.  The trace is normalized with
+tr(T_id) = 1 and Markov parameter z = s/u.  It is computed with z formal:
+tr T_w is a polynomial sum_k P_k(q) z^k with Z[q^+-1] coefficients, of
+degree K <= n - 1 on n strands (one z per coset step of ``_trace_basis``).
+The closure invariant multiplies back the loop value D = (a - a^{-1})/s per
+strand and a^{-writhe}.
 
 One kernel, ``_right_mul``, multiplies raw rows {permutation images:
 {q exponent: int}} by g_i or g_i^{-1} in place; every product and the trace
 cache go through it, and ``from_braid`` wraps ``LaurentPoly``s only once at
-the end.  ``homflypt`` puts D^n, a^{-writhe} and the z-expansion over one
-denominator s^n u^K and reduces once.
+the end.  Since a - a^{-1} = a u, D = a u / s, so the closure value
+D^n a^{-writhe} sum_k P_k z^k is a^{n - writhe} sum_k P_k s^k u^{n-k} / s^n:
+K <= n - 1 keeps u out of the denominator.  ``homflypt`` builds that integer
+numerator in one pass (``_closure_num``) and reduces by s only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .braid import BraidWord, Permutation
 from .ring import LaurentPoly, QQ, as_coeff
-from .scalars import REG_QA, S_ATOM, U_ATOM, Scalar
+from .scalars import REG_QA, Scalar
 
 
 def qpoly(terms: dict[int, QQ]) -> LaurentPoly:
@@ -204,7 +208,8 @@ def _coset_cycle(n: int, j: int) -> Permutation:
 @lru_cache(maxsize=None)
 def _trace_basis(images: tuple[int, ...]) -> tuple[dict[int, int], ...]:
     """z-expansion (P_0, ..., P_K) of tr T_w = sum_k P_k(q) z^k, each P_k
-    a raw {q exponent: int} dict that callers must not change."""
+    a raw {q exponent: int} dict that callers must not change.  Each coset
+    step contributes one z, so K <= n - 1 on n strands."""
     n = len(images)
     if n == 1:
         return ({0: 1},)
@@ -218,13 +223,14 @@ def _trace_basis(images: tuple[int, ...]) -> tuple[dict[int, int], ...]:
         raise AssertionError("coset decomposition failed")
     # T_w = (g_j ... g_{n-2}) g_{n-1} T_v, so tr T_w = z tr(g_j..g_{n-2} T_v)
     word = tuple(range(j, n - 1)) + v.restrict(n - 1).reduced_word()
-    rest = _z_expansion(_braid_rows(n - 1, word))
+    rest = _z_expansion(_braid_rows(n - 1, word), n - 1)
     return ({},) + tuple({e: t for e, t in p.items() if t} for p in rest)
 
 
-def _z_expansion(rows: dict) -> list[dict[int, int]]:
-    """Raw P_k of tr x = sum_k P_k(q) z^k, summed over the basis of rows;
-    entries may be zero."""
+def _z_expansion(rows: dict, n: int) -> list[dict[int, int]]:
+    """Raw P_k of tr x = sum_k P_k(q) z^k, summed over the basis of the
+    n-strand rows; entries may be zero.  Raises ``AssertionError`` past
+    n coefficients, the bound the u-free closure relies on."""
     out: list[dict] = []
     for w, c in rows.items():
         for k, p in enumerate(_trace_basis(w)):
@@ -236,26 +242,50 @@ def _z_expansion(rows: dict) -> list[dict[int, int]]:
                 for e2, c2 in p.items():
                     e = e1 + e2
                     acc[e] = get(e, 0) + c1 * c2
+    if len(out) > n:
+        raise AssertionError(f"z-expansion of degree {len(out) - 1} "
+                             f"on {n} strands")
     return out
 
 
-def _trace_scalar(rows: dict, a_part: LaurentPoly, s_exp: int) -> Scalar:
-    """a_part * tr(rows) / s^s_exp as num / (s^s_exp u^K), unreduced.
+@lru_cache(maxsize=None)
+def _binomial_row(k: int) -> tuple[int, ...]:
+    """(-1)^j C(k, j) for j = 0..k: s^k = sum_j row[j] q^(k-2j) and
+    u^k = sum_j row[j] a^(-2j)."""
+    return tuple((-1) ** j * comb(k, j) for j in range(k + 1))
 
-    With z = s/u the z-expansion sum_k P_k z^k of degree K is
-    (sum_k P_k s^k u^(K-k)) / u^K.
-    """
-    coeffs = _z_expansion(rows)
-    top = max(len(coeffs) - 1, 0)
-    num = LaurentPoly.zero(REG_QA)
+
+def _closure_num(coeffs: list[dict[int, int]], m: int,
+                 shift: int) -> LaurentPoly:
+    """sum_k P_k s^k u^(m-k) a^shift as one (q, a) polynomial, for raw
+    z-expansion rows P_k with k <= m; all arithmetic on ints."""
+    out: dict = {}
+    get = out.get
     for k, p in enumerate(coeffs):
-        num = num + _qpoly_raw(p) * S_ATOM ** k * (U_ATOM ** (top - k) * a_part)
-    return Scalar(num, s_exp, top)
+        ps: dict = {}  # P_k s^k
+        ps_get = ps.get
+        for j, b in enumerate(_binomial_row(k)):
+            d = k - 2 * j
+            for e, c in p.items():
+                e += d
+                ps[e] = ps_get(e, 0) + b * c
+        for j, b in enumerate(_binomial_row(m - k)):
+            a = shift - 2 * j
+            for e, c in ps.items():
+                t = (e, a)
+                out[t] = get(t, 0) + b * c
+    return LaurentPoly._raw(REG_QA, {t: c for t, c in out.items() if c})
 
 
 def trace_ocneanu(x: HeckeElement) -> Scalar:
-    """Normalized Markov trace, tr(T_id) = 1, as a reduced Scalar."""
-    return _trace_scalar(_rows(x), LaurentPoly.const(REG_QA, 1), 0).reduce()
+    """Normalized Markov trace, tr(T_id) = 1, as a reduced Scalar.
+
+    With z = s/u the z-expansion of degree K is
+    sum_k P_k s^k u^(K-k) / u^K.
+    """
+    coeffs = _z_expansion(_rows(x), x.n)
+    top = max(len(coeffs) - 1, 0)
+    return Scalar(_closure_num(coeffs, top, 0), 0, top).reduce()
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +346,13 @@ class InvariantValue:
 def homflypt(b: BraidWord) -> InvariantValue:
     """Closure invariant: D^n a^{-writhe} tr(image of b), reduced once.
 
-    D^n = (a - a^-1)^n / s^n, so the value is
-    (a - a^-1)^n a^-writhe sum_k P_k s^k u^(K-k) / (s^n u^K).
+    D = (a - a^-1)/s = a u/s and z = s/u, and the z-expansion has degree
+    K <= n - 1, so the value is a^(n - writhe) sum_k P_k s^k u^(n-k) / s^n
+    with no u denominator: one integer numerator, reduced by s only.
     """
     n = b.strands
-    a_part = (Scalar.loop_value().num ** n
-              * LaurentPoly.monomial(REG_QA, {"a": -b.writhe()}))
-    return InvariantValue(_trace_scalar(_braid_rows(n, b.letters), a_part, n))
+    coeffs = _z_expansion(_braid_rows(n, b.letters), n)
+    return InvariantValue(Scalar(_closure_num(coeffs, n, n - b.writhe()), n))
 
 
 def ktheory_skein_check() -> bool:

@@ -9,7 +9,6 @@ the rank-2 convolution, and decategorified K-classes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -241,6 +240,7 @@ class KoszulMF:
         return [[str(a), str(b)] for a, b in self.rows]
 
     def state_hash(self) -> str:
+        import hashlib  # loads OpenSSL; only audit logging needs it
         payload = json.dumps({"rows": self.rows_repr(),
                               "potential": str(self.potential)},
                              sort_keys=True)

@@ -8,8 +8,9 @@ import pytest
 
 from knotmf.braid import (BraidWord, Permutation, full_twist, jm_element,
                           jm_power_braid, parse_braid)
-from knotmf.hecke import (HeckeElement, InvariantValue, from_braid, gen_image,
-                          homflypt, ktheory_skein_check, qpoly, trace_ocneanu)
+from knotmf.hecke import (HeckeElement, InvariantValue, _trace_basis,
+                          from_braid, gen_image, homflypt, ktheory_skein_check,
+                          qpoly, trace_ocneanu)
 from knotmf.ring import QQ, LaurentPoly
 from knotmf.scalars import REG_QA, S_ATOM, Scalar, qa_poly
 from knotmf.verify import random_braid
@@ -132,13 +133,31 @@ def test_kernel_matches_reference_multiplication():
         assert x == ref  # the kernel works on copies of x's coefficients
 
 
+def test_trace_basis_degree_is_below_strand_count():
+    """tr T_w has z-degree at most n - 1 on n strands, so the closure
+    numerator of homflypt needs no u denominator."""
+    for n in range(1, 7):
+        for images in itertools.permutations(range(n)):
+            assert len(_trace_basis(images)) <= n
+
+
+def _homflypt_inputs():
+    for n in range(1, 7):
+        yield BraidWord(n, ())  # K = 0: the largest s exponent
+    rng = random.Random("homflypt composition")
+    for _ in range(40):
+        yield random_braid(rng, max_strands=5, max_length=10)
+    for _ in range(10):
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, 5)
+                        for _ in range(rng.randint(1, 10)))
+        yield BraidWord(6, letters)
+
+
 def test_homflypt_is_loop_values_times_trace():
     """The single-reduce homflypt equals D^n tr(b) a^-writhe built from the
     reduced trace, down to the printed canonical form."""
-    rng = random.Random("homflypt composition")
     d = Scalar.loop_value()
-    for _ in range(40):
-        b = random_braid(rng, max_strands=5, max_length=10)
+    for b in _homflypt_inputs():
         value = trace_ocneanu(from_braid(b))
         for _ in range(b.strands):
             value = d * value

@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -232,6 +234,18 @@ def test_convolution_reports_golden():
     if os.environ.get("KNOTMF_REGOLD") == "1":
         path.write_text(out)
     assert path.read_text() == out, "golden mismatch for convolution reports"
+
+
+def test_import_leaves_hashlib_unloaded():
+    """hashlib (it loads OpenSSL) is imported by the first state_hash, not
+    by importing the module."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, knotmf.mf; print('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
 
 
 def test_blob_square_q_form():
