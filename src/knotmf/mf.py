@@ -100,9 +100,12 @@ class Mat2:
 
     @staticmethod
     def group(reg: VarRegistry, prefix: str) -> "Mat2":
+        """The matrix (g_ij); g21 is 0 on a triangular chart without it."""
         v = lambda n: LaurentPoly.var(reg, n)
+        g21 = f"{prefix}21"
         return Mat2(v(f"{prefix}11"), v(f"{prefix}12"),
-                    v(f"{prefix}21"), v(f"{prefix}22"))
+                    v(g21) if g21 in reg.names else LaurentPoly.zero(reg),
+                    v(f"{prefix}22"))
 
     @staticmethod
     def traceless_x(reg: VarRegistry) -> "Mat2":
@@ -210,8 +213,7 @@ class KoszulMF:
                  twist: GradedTwist | None = None,
                  reducer: QuotientReducer | None = None,
                  name: str = "",
-                 audit: list | None = None,
-                 check: bool = True):
+                 audit: list | None = None):
         self.registry = registry
         self.reducer = reducer
         self.rows = [(self._nf(a), self._nf(b)) for a, b in rows]
@@ -220,8 +222,7 @@ class KoszulMF:
             len(registry.char_weights[0]) if registry.char_weights else 2)
         self.name = name
         self.audit = list(audit) if audit else []
-        if check:
-            self.validate()
+        self.validate()
 
     def _nf(self, p: LaurentPoly) -> LaurentPoly:
         return self.reducer.normal_form(p) if self.reducer else p
@@ -278,15 +279,15 @@ class KoszulMF:
         rows = list(self.rows)
         ai, bi = rows[i]
         aj, bj = rows[j]
-        rows[i] = (ai, self._nf(bi - p * bj))
-        rows[j] = (self._nf(aj + p * ai), bj)
+        rows[i] = (ai, bi - p * bj)
+        rows[j] = (aj + p * ai, bj)
         out = self._child(rows)
         out._log("row_transform", i=i, j=j, p=str(p))
-        out.validate()
         # theta-basis changes leave the decategorified class alone; assert
-        # whenever both presentations are graded
+        # whenever both changed rows are graded
         try:
-            if self.theta_weights() != out.theta_weights():
+            if ([_theta_weight(*self.rows[k]) for k in (i, j)]
+                    != [_theta_weight(*out.rows[k]) for k in (i, j)]):
                 raise AssertionError("row_transform changed theta weights")
         except ValueError:
             pass
@@ -299,7 +300,7 @@ class KoszulMF:
             raise ValueError("unit * unit_inv != 1 in the chart")
         rows = list(self.rows)
         a, b = rows[i]
-        rows[i] = (self._nf(a * unit), self._nf(b * unit_inv))
+        rows[i] = (a * unit, b * unit_inv)
         out = self._child(rows)
         out._log("row_rescale", i=i, unit=str(unit))
         return out
@@ -333,10 +334,9 @@ class KoszulMF:
             entry = a if _is_unit(a) else (b if _is_unit(b) else None)
             if entry is None:
                 raise ValueError("no unit entry in the row")
-            out = self._child(rows, potential=self._nf(self.potential - a * b))
+            out = self._child(rows, potential=self.potential - a * b)
             out._log("eliminate_row", i=i, mode="unit", entry=str(entry),
                      dropped_theta=_theta_weight_of_row(a, b))
-            out.validate()
             return out
         if mode == "coordinate":
             if var is None:
@@ -363,11 +363,9 @@ class KoszulMF:
             if expect_zero_partner and flag != "restriction":
                 raise ValueError(
                     f"partner entry {partner0} does not vanish on the locus")
-            out = self._child(new_rows,
-                              potential=self._nf(self.potential.substitute(sub)))
+            out = self._child(new_rows, potential=self.potential.substitute(sub))
             out._log("eliminate_row", i=i, mode="coordinate", var=var,
                      flag=flag, dropped_theta=_theta_weight_of_row(a, b))
-            out.validate()
             return out
         raise ValueError("mode must be 'unit' or 'coordinate'")
 
@@ -437,21 +435,7 @@ class KoszulMF:
         The differential weight tau is t^-1; rows with a_i = 0 use the b side
         instead (theta weight = w(b) * t).
         """
-        out = []
-        for a, b in self.rows:
-            if not a.is_zero():
-                w = a.weight_of()
-                if w is None:
-                    raise ValueError(f"inhomogeneous row entry {a}")
-                qw, tw, ch = w
-                out.append((-qw, -1 - tw, _flat_neg(ch)))
-            else:
-                w = b.weight_of()
-                if w is None:
-                    raise ValueError(f"inhomogeneous row entry {b}")
-                qw, tw, ch = w
-                out.append((qw, 1 + tw, _flat(ch)))
-        return out
+        return [_theta_weight(a, b) for a, b in self.rows]
 
     def __str__(self):
         rows = "; ".join(f"({a} | {b})" for a, b in self.rows)
@@ -484,21 +468,27 @@ def _solve_linear(entry: LaurentPoly, var: str) -> LaurentPoly:
     return rest * (QQ(-1) / c)
 
 
+def _theta_weight(a: LaurentPoly, b: LaurentPoly):
+    """(q, t, flat char) weight of the theta of row (a, b): tau / w(a), or
+    w(b) * t when a = 0; raises ValueError on an inhomogeneous entry."""
+    entry, sign = (a, -1) if not a.is_zero() else (b, 1)
+    w = entry.weight_of()
+    if w is None:
+        raise ValueError(f"inhomogeneous row entry {entry}")
+    qw, tw, ch = w
+    return sign * qw, sign * (1 + tw), tuple(sign * v for v in ch or ())
+
+
 def _theta_weight_of_row(a: LaurentPoly, b: LaurentPoly):
-    """Bookkeeping weight of the contracted theta, for the audit log."""
+    """Bookkeeping weight of the contracted theta, for the audit log: the
+    weight of its entry, the character in (slot) pairs."""
     entry = a if not a.is_zero() else b
     w = entry.weight_of()
     if w is None:
         return "inhomogeneous"
-    return {"q": w[0], "t": w[1], "char": [list(s) for s in w[2]] if w[2] else []}
-
-
-def _flat(ch) -> tuple[int, ...]:
-    return tuple(v for slot in ch for v in slot) if ch else ()
-
-
-def _flat_neg(ch) -> tuple[int, ...]:
-    return tuple(-v for slot in ch for v in slot) if ch else ()
+    ch = w[2] or ()
+    return {"q": w[0], "t": w[1],
+            "char": [list(ch[k:k + 2]) for k in range(0, len(ch), 2)]}
 
 
 # ---------------------------------------------------------------------------
@@ -906,20 +896,11 @@ def _solve_in_span(cols, target) -> bool:
 # differential or None).
 
 def _reducer_conv():
-    return QuotientReducer.merge(QuotientReducer.det_one(REG_CONV, "a"),
-                                 QuotientReducer.det_one(REG_CONV, "b"))
+    return QuotientReducer.det_one(REG_CONV, "a", "b")
 
 
 def _reducer_ac():
-    return QuotientReducer.merge(QuotientReducer.det_one(REG_AC, "a"),
-                                 QuotientReducer.det_one(REG_AC, "c"))
-
-
-def _reducer_tri(reg: VarRegistry, g: str) -> QuotientReducer:
-    """g11 g22 = 1 on a triangular (g21 = 0) chart, with det c = 1."""
-    one = LaurentPoly.const(reg, 1)
-    tri = QuotientReducer(reg, [({f"{g}11": 1, f"{g}22": 1}, one)])
-    return QuotientReducer.merge(tri, QuotientReducer.det_one(reg, "c"))
+    return QuotientReducer.det_one(REG_AC, "a", "c")
 
 
 def _tw3(tw: GradedTwist, placement: str) -> GradedTwist:
@@ -971,39 +952,14 @@ def _conv_inputs(left_kind, right_kind, left_twist, right_twist):
             named_mf(right_kind, reg, xp, "b", "y2", "y3", red, rt))
 
 
-def _b_images_full(target):
-    """b = adj(a) c on the target chart."""
-    v = lambda n: LaurentPoly.var(target, n)
-    return {
-        "b11": v("a22") * v("c11") - v("a12") * v("c21"),
-        "b12": v("a22") * v("c12") - v("a12") * v("c22"),
-        "b21": -v("a21") * v("c11") + v("a11") * v("c21"),
-        "b22": -v("a21") * v("c12") + v("a11") * v("c22"),
-    }
-
-
-def _b_images_tri(target):
-    """b = adj(a) c on the a21 = 0 chart."""
-    v = lambda n: LaurentPoly.var(target, n)
-    return {
-        "b11": v("a22") * v("c11") - v("a12") * v("c21"),
-        "b12": v("a22") * v("c12") - v("a12") * v("c22"),
-        "b21": v("a11") * v("c21"),
-        "b22": v("a11") * v("c22"),
-        "a21": LaurentPoly.zero(target),
-    }
-
-
-def _a_images_tri(target):
-    """a = c adj(b) on the b21 = 0 chart."""
-    v = lambda n: LaurentPoly.var(target, n)
-    return {
-        "a11": v("c11") * v("b22"),
-        "a12": -v("c11") * v("b12") + v("c12") * v("b11"),
-        "a21": v("c21") * v("b22"),
-        "a22": -v("c21") * v("b12") + v("c22") * v("b11"),
-        "b21": LaurentPoly.zero(target),
-    }
+def _chart_images(prefix: str, m: Mat2, dropped: str = "") -> dict:
+    """{prefix_ij: m_ij}, and the ``dropped`` variable of a triangular
+    target chart to 0."""
+    names = [f"{prefix}{ij}" for ij in ("11", "12", "21", "22")]
+    out = dict(zip(names, (m.e11, m.e12, m.e21, m.e22)))
+    if dropped:
+        out[dropped] = LaurentPoly.zero(m.e11.registry)
+    return out
 
 
 def _outer_to_out(mf_obj: KoszulMF, row_indices, expect_kind: str):
@@ -1121,7 +1077,9 @@ def _middle_dot_dot(s: KoszulMF, kind: str, displays: dict):
         raise AssertionError("middle row did not reduce to (0, y2)")
     s = s.eliminate_row(2, "coordinate", var="y2")
 
-    s = s.substitute(_b_images_full(REG_AC), REG_AC, _reducer_ac())
+    a, c = Mat2.group(REG_AC, "a"), Mat2.group(REG_AC, "c")
+    s = s.substitute(_chart_images("b", a.adjugate() * c), REG_AC,
+                     _reducer_ac())
     displays["composite_chart"] = s.rows_repr()
 
     va = lambda n: LaurentPoly.var(REG_AC, n)
@@ -1144,7 +1102,9 @@ def _middle_unit_left(s: KoszulMF, kind: str, displays: dict):
     s = s.eliminate_row(1, "coordinate", var="y2")
     displays["restricted"] = s.rows_repr()
 
-    s = s.substitute(_b_images_tri(REG_ACT), REG_ACT, _reducer_tri(REG_ACT, "a"))
+    a, c = Mat2.group(REG_ACT, "a"), Mat2.group(REG_ACT, "c")
+    s = s.substitute(_chart_images("b", a.adjugate() * c, "a21"), REG_ACT,
+                     QuotientReducer.det_one(REG_ACT, "a", "c"))
     vt = lambda n: LaurentPoly.var(REG_ACT, n)
     kappa = vt("c11") - vt("a11") * vt("a12") * vt("c21")
     if kind == "C_dot":
@@ -1176,7 +1136,9 @@ def _middle_unit_right(s: KoszulMF, kind: str, displays: dict):
     s = s.eliminate_row(2, "coordinate", var="y2")
     displays["restricted"] = s.rows_repr()
 
-    s = s.substitute(_a_images_tri(REG_CBT), REG_CBT, _reducer_tri(REG_CBT, "b"))
+    b, c = Mat2.group(REG_CBT, "b"), Mat2.group(REG_CBT, "c")
+    s = s.substitute(_chart_images("a", c * b.adjugate(), "b21"), REG_CBT,
+                     QuotientReducer.det_one(REG_CBT, "b", "c"))
     vt = lambda n: LaurentPoly.var(REG_CBT, n)
     if kind == "C_dot":
         s = s.row_rescale(1, vt("b11") ** 2, vt("b22") ** 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 QQ = Fraction
@@ -41,18 +41,6 @@ def coeff_div(a, b):
 # A character weight is one integer vector per torus slot (e.g. left/right
 # Borel factors for n=2).  Stored as nested tuples so registries are hashable.
 CharWeight = tuple[tuple[int, ...], ...]
-
-
-def _add_chars(c1: CharWeight, c2: CharWeight) -> CharWeight:
-    return tuple(tuple(a + b for a, b in zip(s1, s2)) for s1, s2 in zip(c1, c2))
-
-
-def _scale_char(c: CharWeight, k: int) -> CharWeight:
-    return tuple(tuple(k * a for a in s) for s in c)
-
-
-def _zero_char(shape: CharWeight) -> CharWeight:
-    return tuple(tuple(0 for _ in s) for s in shape)
 
 
 @dataclass(frozen=True)
@@ -450,33 +438,32 @@ class LaurentPoly:
 
     # -- grading -------------------------------------------------------
 
-    def weight_of(self) -> tuple[int, int, CharWeight] | None:
+    def weight_of(self) -> tuple[int, int, tuple[int, ...] | None] | None:
         """Common (q, t, char) weight of all monomials, or None.
 
-        Character weights are compared modulo the registry's trivial lines.
+        The character is the flat vector of ``VarRegistry.char_flat``
+        weights, reduced modulo the registry's trivial lines; it is None on
+        a registry without characters.  The zero polynomial has the trivial
+        weight.
         """
         reg = self.registry
+        width = len(reg.char_flat(0)) if reg.char_weights else 0
         seen = None
-        for e in self.terms:
-            qw = sum(p * w for p, w in zip(e, reg.q_weights))
-            tw = sum(p * w for p, w in zip(e, reg.t_weights))
+        for e in self.terms or ((0,) * reg.nvars,):
             ch = None
-            if reg.char_weights and reg.char_weights[0]:
-                acc = _zero_char(reg.char_weights[0])
+            if width:
+                acc = [0] * width
                 for i, p in enumerate(e):
                     if p:
-                        acc = _add_chars(acc, _scale_char(reg.char_weights[i], p))
+                        acc = [a + p * c
+                               for a, c in zip(acc, reg.char_flat(i))]
                 ch = _canonical_char(acc, reg.char_lines)
-            w = (qw, tw, ch)
+            w = (sum(map(mul, e, reg.q_weights)),
+                 sum(map(mul, e, reg.t_weights)), ch)
             if seen is None:
                 seen = w
             elif seen != w:
                 return None
-        if seen is None:
-            # zero polynomial: weight of zero is anything; report trivial
-            shape = reg.char_weights[0] if reg.char_weights else ()
-            return (0, 0, _canonical_char(_zero_char(shape), reg.char_lines)
-                    if shape else None)
         return seen
 
     # -- output ---------------------------------------------------------
@@ -527,18 +514,15 @@ class LaurentPoly:
         return p
 
 
-def _canonical_char(ch: CharWeight, lines: tuple[tuple[int, ...], ...]) -> CharWeight:
-    """Reduce a character weight modulo integer multiples of trivial lines.
+def _canonical_char(flat: list[int],
+                    lines: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Reduce a flat character vector modulo multiples of trivial lines.
 
     Greedy elimination: for each line pick its first nonzero coordinate and
-    cancel that coordinate of ch exactly when divisible.  The lines used in
-    this package are det-weight lines with leading entry +-1, so the
-    representative is unique.
+    cancel that coordinate of the vector exactly when divisible.  The lines
+    used in this package are det-weight lines with leading entry +-1, so
+    the representative is unique.
     """
-    if not lines:
-        return ch
-    flat = [v for slot in ch for v in slot]
-    sizes = [len(slot) for slot in ch]
     for line in lines:
         pivot = next((i for i, v in enumerate(line) if v != 0), None)
         if pivot is None:
@@ -546,27 +530,27 @@ def _canonical_char(ch: CharWeight, lines: tuple[tuple[int, ...], ...]) -> CharW
         k, rem = divmod(flat[pivot], line[pivot])
         if rem == 0 and k != 0:
             flat = [a - k * b for a, b in zip(flat, line)]
-    out, pos = [], 0
-    for s in sizes:
-        out.append(tuple(flat[pos:pos + s]))
-        pos += s
-    return tuple(out)
+    return tuple(flat)
 
 
 class QuotientReducer:
     """Normal form modulo relations lead -> rest with monomial leads.
 
     Each relation is (lead_monomial_exponents, rest_poly) meaning
-    lead = rest in the quotient ring.  Leads must involve pairwise disjoint
-    variable sets so rewriting is confluent (each relation is a single
-    binomial-style rule; the det=1 charts used here satisfy this).
+    lead = rest in the quotient ring.  The leads use pairwise disjoint
+    variables and no rest contains a lead variable, so one pass per rule
+    is final: it rewrites each term x^e to x^(e - k*lead) * rest^k with
+    k = min e_i // lead_i over the lead's variables, which leaves no term
+    divisible by that lead, and no later pass brings a lead back.  The
+    det = 1 charts used here satisfy both conditions; the constructor
+    checks them.
     """
 
     def __init__(self, registry: VarRegistry,
                  relations: Sequence[tuple[Mapping[str, int], LaurentPoly]]):
         self.registry = registry
         self.rules = []
-        seen_vars: set[int] = set()
+        lead_vars: set[int] = set()
         for lead, rest in relations:
             e = [0] * registry.nvars
             for name, p in lead.items():
@@ -574,55 +558,59 @@ class QuotientReducer:
                     raise ValueError("lead exponents must be positive")
                 e[registry.index(name)] = p
             vs = {i for i, p in enumerate(e) if p}
-            if vs & seen_vars:
+            if not vs:
+                raise ValueError("a lead must contain a variable")
+            if vs & lead_vars:
                 raise ValueError("relation leads must use disjoint variables")
-            seen_vars |= vs
+            lead_vars |= vs
             if rest.registry != registry:
                 raise ValueError("registry mismatch")
             self.rules.append((tuple(e), rest))
+        for _, rest in self.rules:
+            if any(f[i] for f in rest.terms for i in lead_vars):
+                raise ValueError("a relation rest contains a lead variable")
 
     @staticmethod
-    def det_one(registry: VarRegistry, prefix: str = "a") -> "QuotientReducer":
-        """The SL2 chart rule: a11*a22 -> a12*a21 + 1."""
-        rest = (LaurentPoly.var(registry, f"{prefix}12")
-                * LaurentPoly.var(registry, f"{prefix}21")
-                + LaurentPoly.const(registry, 1))
-        return QuotientReducer(registry,
-                               [({f"{prefix}11": 1, f"{prefix}22": 1}, rest)])
+    def det_one(registry: VarRegistry, *prefixes: str) -> "QuotientReducer":
+        """The SL2 chart rules g11*g22 -> g12*g21 + 1, one per prefix g
+        (default a).  A triangular chart has no g21 and the rule g11*g22 -> 1.
+        """
+        def rule(g):
+            rest = LaurentPoly.const(registry, 1)
+            if f"{g}21" in registry.names:
+                rest = (LaurentPoly.var(registry, f"{g}12")
+                        * LaurentPoly.var(registry, f"{g}21") + rest)
+            return {f"{g}11": 1, f"{g}22": 1}, rest
 
-    @staticmethod
-    def merge(*reducers: "QuotientReducer") -> "QuotientReducer":
-        reg = reducers[0].registry
-        merged = QuotientReducer(reg, [])
-        for r in reducers:
-            if r.registry != reg:
-                raise ValueError("registry mismatch")
-            merged.rules.extend(r.rules)
-        return merged
+        return QuotientReducer(registry, [rule(g) for g in prefixes or ("a",)])
 
     def normal_form(self, p: LaurentPoly) -> LaurentPoly:
         if p.registry != self.registry:
             raise ValueError("registry mismatch")
-        current = p
-        for _ in range(100_000):
-            rewritten = False
-            terms = dict(current.terms)
-            for e, c in list(terms.items()):
-                for lead, rest in self.rules:
-                    k = min((e[i] // lead[i] for i in range(len(e)) if lead[i]),
-                            default=0)
-                    if k >= 1:
-                        base = tuple(a - k * b for a, b in zip(e, lead))
-                        repl = (LaurentPoly(self.registry, {base: c})
-                                * (rest ** k))
-                        current = current - LaurentPoly(self.registry, {e: c}) + repl
-                        rewritten = True
-                        break
-                if rewritten:
-                    break
-            if not rewritten:
-                return current
-        raise RuntimeError("reduction did not terminate")
-
-    def equal(self, p: LaurentPoly, q: LaurentPoly) -> bool:
-        return self.normal_form(p - q).is_zero()
+        terms = p.terms
+        for lead, rest in self.rules:
+            idx = [i for i, x in enumerate(lead) if x]
+            hits = [(e, k) for e in terms
+                    if (k := min([e[i] // lead[i] for i in idx])) >= 1]
+            if not hits:
+                continue
+            terms = dict(terms)
+            powers: dict[int, dict] = {}
+            get = terms.get
+            for e, k in hits:
+                # the new terms keep base's lead exponents, so none is a hit
+                c = terms.pop(e)
+                r = powers.get(k)
+                if r is None:
+                    r = powers[k] = (rest ** k).terms
+                base = [a - k * b for a, b in zip(e, lead)]
+                for f, d in r.items():
+                    x = tuple(map(add, base, f))
+                    s = get(x, 0) + c * d
+                    if s:
+                        terms[x] = s if type(s) is int else as_coeff(s)
+                    else:
+                        del terms[x]
+        if terms is p.terms:
+            return p
+        return LaurentPoly._raw(self.registry, terms)

@@ -80,6 +80,21 @@ def test_row_transform_round_trip():
         m.row_transform(0, 0, p)
 
 
+def test_row_transform_grading_check():
+    """With a_j = 0, theta_j is graded by b_j; p * a_i of another weight
+    changes it.  Only the changed rows are graded: an inhomogeneous row
+    elsewhere does not hide the change, an inhomogeneous p skips the check."""
+    reg = VarRegistry.make([("x", 2, 0), ("y", -2, -2), ("w", 0, 0)])
+    x, y, w = (LaurentPoly.var(reg, n) for n in "xyw")
+    zero = LaurentPoly.zero(reg)
+    for rows in ([(x, y), (zero, y)], [(x, y), (zero, y), (x + w, y)]):
+        m = koszul(rows, sum((a * b for a, b in rows), zero), reg)
+        with pytest.raises(AssertionError, match="changed theta weights"):
+            m.row_transform(0, 1, x)
+        out = m.row_transform(0, 1, x + 1)
+        assert out.rows[1] == (x * x + x, y)
+
+
 def test_eliminate_unit_row():
     one = LaurentPoly.const(REG_XY, 1)
     m = koszul([(one, X * Y), (X, Y)], X * Y + X * Y, REG_XY)

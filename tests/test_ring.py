@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from knotmf.mf import REG_ACT, REG_CONV, _reducer_conv
 from knotmf.ring import LaurentPoly, QuotientReducer, VarRegistry
 from knotmf.scalars import REG_QA
 
@@ -135,6 +136,90 @@ def test_reducer_ring_map(p, q):
     assert nf(nf(p)) == nf(p)
     assert nf(p * q) == nf(nf(p) * nf(q))
     assert nf(p + q) == nf(nf(p) + nf(q))
+
+
+def restart_normal_form(red, p):
+    """Reference rewrite: the first term some rule reduces is rewritten by
+    the first such rule, then the scan restarts from the first term."""
+    reg = red.registry
+    while True:
+        for e, c in p.terms.items():
+            for lead, rest in red.rules:
+                k = min((e[i] // lead[i] for i in range(len(e)) if lead[i]),
+                        default=0)
+                if k >= 1:
+                    base = tuple(a - k * b for a, b in zip(e, lead))
+                    p = (p - LaurentPoly(reg, {e: c})
+                         + LaurentPoly(reg, {base: c}) * rest ** k)
+                    break
+            else:
+                continue
+            break
+        else:
+            return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([
+           _reducer_conv(), QuotientReducer.det_one(REG_ACT, "a", "c")]),
+       st.data())
+def test_normal_form_matches_restart_loop(red, data):
+    """One pass per rule against the restart loop, on the two det rules of
+    the convolution chart and on the triangular chart (a11*a22 -> 1 next to
+    det c = 1), negative exponents included."""
+    p = data.draw(mixed_polys(4, red.registry))
+    lead_vars = [i for lead, _ in red.rules for i, x in enumerate(lead) if x]
+    # lift some terms onto the leads so that most draws need rewriting
+    p = p * LaurentPoly(red.registry, {tuple(
+        data.draw(st.integers(0, 3)) if i in lead_vars else 0
+        for i in range(red.registry.nvars)): 1})
+    nf = red.normal_form(p)
+    ref = restart_normal_form(red, p)
+    assert_canonical(nf)
+    assert nf.terms == ref.terms and str(nf) == str(ref)
+    assert red.normal_form(nf) == nf
+
+
+def test_reducer_rejects_rules_one_pass_cannot_finish():
+    one = LaurentPoly.const(REG_A, 1)
+    with pytest.raises(ValueError, match="rest contains a lead variable"):
+        QuotientReducer(REG_A, [({"a11": 1, "a22": 1}, va("a11") + 1)])
+    # a12 -> a11 would need the a11 rule again after its own pass
+    with pytest.raises(ValueError, match="rest contains a lead variable"):
+        QuotientReducer(REG_A, [({"a11": 1}, va("a22") + 1),
+                                ({"a12": 1}, va("a11"))])
+    with pytest.raises(ValueError, match="disjoint"):
+        QuotientReducer(REG_A, [({"a11": 1, "a22": 1}, one),
+                                ({"a11": 1, "a12": 1}, one)])
+
+
+def test_large_power_normal_form():
+    """(a11 + a22 + x0 + b11*b22)^16 on the convolution chart: lead-free,
+    idempotent, and equal to the power on a point of det a = det b = 1."""
+    red = _reducer_conv()
+    v = lambda n: LaurentPoly.var(REG_CONV, n)
+    p = (v("a11") + v("a22") + v("x0") + v("b11") * v("b22")) ** 16
+    nf = red.normal_form(p)
+    assert (len(p.terms), len(nf.terms)) == (969, 4845)
+    for lead, _ in red.rules:
+        assert not any(all(x >= l for x, l in zip(e, lead) if l)
+                       for e in nf.terms)
+    assert red.normal_form(nf) == nf
+    point = {n: Fraction(k + 2, 3) for k, n in enumerate(REG_CONV.names)}
+    for g in "ab":
+        point[f"{g}22"] = ((1 + point[f"{g}12"] * point[f"{g}21"])
+                           / point[f"{g}11"])
+
+    def at(poly):
+        total = Fraction(0)
+        for e, c in poly.terms.items():
+            term = Fraction(c)
+            for name, k in zip(REG_CONV.names, e):
+                term *= point[name] ** k
+            total += term
+        return total
+
+    assert at(nf) == at(p)
 
 
 def test_json_round_trip():
