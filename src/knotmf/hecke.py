@@ -5,10 +5,11 @@ g_i - g_i^{-1} = q - q^{-1}, equivalently g_i^2 = 1 + (q - q^{-1}) g_i.
 The basis is T_w, products of generators along reduced words.  Write
 s = q - q^{-1} and u = 1 - a^{-2}.  The trace is normalized with
 tr(T_id) = 1 and Markov parameter z = s/u.  It is computed with z formal:
-tr T_w is a polynomial sum_k P_k(q) z^k with Z[q^+-1] coefficients, of
-degree K <= n - 1 on n strands (one z per coset step of ``_trace_basis``).
-The closure invariant multiplies back the loop value D = (a - a^{-1})/s per
-strand and a^{-writhe}.
+``trace_ocneanu`` returns the z-expansion (P_0, ..., P_K) of
+tr x = sum_k P_k(q) z^k, Z[q^+-1] coefficients of degree K <= n - 1 on n
+strands (one z per coset step of ``_trace_basis``).  The closure invariant
+multiplies back the loop value D = (a - a^{-1})/s per strand and
+a^{-writhe}.
 
 One kernel, ``_right_mul``, multiplies raw rows {permutation images:
 {q exponent: int}} by g_i or g_i^{-1} in place; every product and the trace
@@ -16,7 +17,8 @@ cache go through it, and ``from_braid`` wraps ``LaurentPoly``s only once at
 the end.  Since a - a^{-1} = a u, D = a u / s, so the closure value
 D^n a^{-writhe} sum_k P_k z^k is a^{n - writhe} sum_k P_k s^k u^{n-k} / s^n:
 K <= n - 1 keeps u out of the denominator.  ``homflypt`` builds that integer
-numerator in one pass (``_closure_num``) and reduces by s only.
+numerator in one pass (``_closure_num``) and reduces by s only;
+``Scalar`` has no u.
 """
 
 from __future__ import annotations
@@ -277,15 +279,17 @@ def _closure_num(coeffs: list[dict[int, int]], m: int,
     return LaurentPoly._raw(REG_QA, {t: c for t, c in out.items() if c})
 
 
-def trace_ocneanu(x: HeckeElement) -> Scalar:
-    """Normalized Markov trace, tr(T_id) = 1, as a reduced Scalar.
+def trace_ocneanu(x: HeckeElement) -> tuple[LaurentPoly, ...]:
+    """Normalized Markov trace, tr(T_id) = 1, as its z-expansion.
 
-    With z = s/u the z-expansion of degree K is
-    sum_k P_k s^k u^(K-k) / u^K.
+    Returns (P_0, ..., P_K) with tr x = sum_k P_k(q) z^k, each P_k a
+    q-polynomial in ``REG_QA``; trailing zeros are trimmed, so equal traces
+    give equal tuples and the trace of 0 is ().
     """
-    coeffs = _z_expansion(_rows(x), x.n)
-    top = max(len(coeffs) - 1, 0)
-    return Scalar(_closure_num(coeffs, top, 0), 0, top).reduce()
+    coeffs = [_qpoly_raw(p) for p in _z_expansion(_rows(x), x.n)]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +299,12 @@ def trace_ocneanu(x: HeckeElement) -> Scalar:
 class InvariantValue:
     """Fully reduced closure invariant in Q(a, q).
 
-    Internally a Scalar whose reduced form carries no (1 - a^-2) atom; the
-    s-exponent is bounded by the closure's component count.
+    Internally a reduced Scalar num / s^c; for the closure of a braid, c is
+    its component count.
     """
 
     def __init__(self, value: Scalar):
-        v = value.reduce()
-        if v.u_exp != 0:
-            raise AssertionError("u atom failed to cancel in an invariant")
-        self.value = v
+        self.value = value.reduce()
 
     def a_coefficients(self) -> list[dict]:
         split = self.value.num.coefficients_in("a")
@@ -332,10 +333,10 @@ class InvariantValue:
         num = self.value.num.substitute({
             "q": LaurentPoly.var(REG_QA, "q", -1),
             "a": LaurentPoly.var(REG_QA, "a", -1)})
-        # s(1/q) = -s(q); u(1/a) = 1 - a^2 = -a^2 u(a)
+        # s(1/q) = -s(q)
         sign = (-1) ** self.value.s_exp
         num = num * sign
-        return InvariantValue(Scalar(num, self.value.s_exp, 0))
+        return InvariantValue(Scalar(num, self.value.s_exp))
 
     def __str__(self):
         return str(self.value)
@@ -354,11 +355,3 @@ def homflypt(b: BraidWord) -> InvariantValue:
     coeffs = _z_expansion(_braid_rows(n, b.letters), n)
     return InvariantValue(Scalar(_closure_num(coeffs, n, n - b.writhe()), n))
 
-
-def ktheory_skein_check() -> bool:
-    """Decategorified crossing relation from the rank-2 presentations.
-
-    Delegates to the matrix factorization layer; see mf.ktheory_identity.
-    """
-    from . import mf
-    return mf.ktheory_identity() and not mf.ktheory_identity(perturb=True)

@@ -299,8 +299,8 @@ class LaurentPoly:
         the quotient's coefficient at x^(f0 + k*g - e).  The division is
         exact iff every chain's sum ends at 0 at its top exponent: linear in
         the dividend and the quotient, with no budget and no guess.  The
-        trace atoms s = q - q^-1, u = 1 - a^-2 and every localization
-        denominator 1 - m are binomials.
+        trace atom s = q - q^-1 and every localization denominator 1 - m
+        are binomials.
 
         Other divisors go through lead-term reduction in lex order.  If the
         division is exact, exponent ranges add under the product, so every

@@ -2,12 +2,13 @@
 
 Two classes:
 
-* ``Scalar`` -- Laurent polynomials in (q, a) divided by powers of the two
-  atoms s = q - 1/q and u = 1 - 1/a^2.  The Markov trace never produces any
-  other denominator, so reduction is exact division by atoms, no general gcd.
-  Both atoms are binomials, so each division is ``LaurentPoly.exact_div``'s
-  chain test: linear in the terms and the quotient, never a guess, and the
-  reduced form is canonical.
+* ``Scalar`` -- Laurent polynomials in (q, a) divided by a power of the atom
+  s = q - 1/q.  The closure invariant never has any other denominator, so
+  reduction is exact division by s, no general gcd.  Since
+  s = q^-1 (q - 1)(q + 1), s divides a numerator iff it vanishes at q = 1
+  and q = -1 in every a-slice; ``reduce`` reads that from coefficient sums
+  and divides only when it holds, so the reduced form is canonical and no
+  division fails.
 * ``RatFunc`` -- multivariate rational functions with a factored denominator
   list, used by the localization formulas, with exact truncated series
   expansion (``series_qt``).
@@ -29,22 +30,35 @@ def qa_poly(terms: Mapping[tuple[int, int], Fraction]) -> LaurentPoly:
 
 
 S_ATOM = qa_poly({(1, 0): QQ(1), (-1, 0): QQ(-1)})       # q - q^-1
-U_ATOM = qa_poly({(0, 0): QQ(1), (0, -2): QQ(-1)})       # 1 - a^-2
+
+
+def _s_divides(num: LaurentPoly) -> bool:
+    """s | num: num vanishes at q = 1 and at q = -1 in each a-slice, i.e.
+    the coefficients of each (a exponent, q parity) class sum to 0."""
+    sums: dict = {}
+    get = sums.get
+    for (qe, ae), c in num.terms.items():
+        k = (ae, qe & 1)
+        sums[k] = get(k, 0) + c
+    return not any(sums.values())
 
 
 class Scalar:
-    """num / (s^s_exp * u^u_exp) with num a Laurent polynomial in q, a."""
+    """num / s^s_exp with num a Laurent polynomial in q, a."""
 
-    __slots__ = ("num", "s_exp", "u_exp")
+    __slots__ = ("num", "s_exp")
 
-    def __init__(self, num: LaurentPoly, s_exp: int = 0, u_exp: int = 0):
+    # no u = 1 - a^-2 denominator exists; kept because perfbench/oracle.py
+    # reads ``value.u_exp`` of every closure invariant
+    u_exp = 0
+
+    def __init__(self, num: LaurentPoly, s_exp: int = 0):
         if num.registry != REG_QA:
             raise ValueError("Scalar numerators live in the (q, a) registry")
-        if s_exp < 0 or u_exp < 0:
-            raise ValueError("atom exponents are nonnegative")
+        if s_exp < 0:
+            raise ValueError("the s exponent is nonnegative")
         self.num = num
         self.s_exp = s_exp
-        self.u_exp = u_exp
 
     # -- constructors ---------------------------------------------------
 
@@ -57,31 +71,24 @@ class Scalar:
         return Scalar.from_int(1)
 
     @staticmethod
-    def trace_z() -> "Scalar":
-        """z = (q - q^-1)/(1 - a^-2), the Markov trace parameter."""
-        return Scalar(S_ATOM, 0, 1)
-
-    @staticmethod
     def loop_value() -> "Scalar":
         """(a - a^-1)/(q - q^-1), the unknot value."""
-        return Scalar(qa_poly({(0, 1): QQ(1), (0, -1): QQ(-1)}), 1, 0)
+        return Scalar(qa_poly({(0, 1): QQ(1), (0, -1): QQ(-1)}), 1)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Scalar.from_int(other)
-        se, ue = max(self.s_exp, other.s_exp), max(self.u_exp, other.u_exp)
-        n1 = (self.num * S_ATOM ** (se - self.s_exp)
-              * U_ATOM ** (ue - self.u_exp))
-        n2 = (other.num * S_ATOM ** (se - other.s_exp)
-              * U_ATOM ** (ue - other.u_exp))
-        return Scalar(n1 + n2, se, ue).reduce()
+        se = max(self.s_exp, other.s_exp)
+        num = (self.num * S_ATOM ** (se - self.s_exp)
+               + other.num * S_ATOM ** (se - other.s_exp))
+        return Scalar(num, se).reduce()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.num, self.s_exp, self.u_exp)
+        return Scalar(-self.num, self.s_exp)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -90,39 +97,35 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Scalar(self.num * other, self.s_exp, self.u_exp)
+            return Scalar(self.num * other, self.s_exp)
         if isinstance(other, LaurentPoly):
             other = Scalar(other)
-        return Scalar(self.num * other.num, self.s_exp + other.s_exp,
-                      self.u_exp + other.u_exp).reduce()
+        return Scalar(self.num * other.num, self.s_exp + other.s_exp).reduce()
 
     __rmul__ = __mul__
 
     def mul_monomial(self, q_exp: int = 0, a_exp: int = 0, coeff=1) -> "Scalar":
         return Scalar(self.num * qa_poly({(q_exp, a_exp): QQ(coeff)}),
-                      self.s_exp, self.u_exp)
+                      self.s_exp)
 
     # -- normal form -------------------------------------------------------
 
     def reduce(self) -> "Scalar":
-        """Cancel every atom power that divides the numerator.
+        """Cancel every power of s that divides the numerator.
 
-        Each step is ``exact_div`` by a binomial atom, which either divides
-        or provably does not, so the result is the canonical form: equal
-        scalars reduce to the same numerator and exponents.
+        ``_s_divides`` decides each step from coefficient sums, and only
+        then does ``exact_div`` divide, so the result is the canonical form
+        (equal scalars reduce to the same numerator and exponent) and no
+        division fails.
         """
-        num, se, ue = self.num, self.s_exp, self.u_exp
-        while se:
-            t = num.exact_div(S_ATOM)
-            if t is None:
-                break
-            num, se = t, se - 1
-        while ue:
-            t = num.exact_div(U_ATOM)
-            if t is None:
-                break
-            num, ue = t, ue - 1
-        return Scalar(num, se, ue)
+        num, se = self.num, self.s_exp
+        while se and _s_divides(num):
+            num = num.exact_div(S_ATOM)
+            if num is None:
+                raise AssertionError("s vanishes at q = +-1 but does not "
+                                     "divide")
+            se -= 1
+        return Scalar(num, se)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -130,24 +133,20 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         # cross-multiplied comparison, independent of reduction state
-        lhs = self.num * S_ATOM ** other.s_exp * U_ATOM ** other.u_exp
-        rhs = other.num * S_ATOM ** self.s_exp * U_ATOM ** self.u_exp
-        return lhs == rhs
+        return (self.num * S_ATOM ** other.s_exp
+                == other.num * S_ATOM ** self.s_exp)
 
     def __hash__(self):
         r = self.reduce()
-        if not (r.s_exp or r.u_exp):
+        if not r.s_exp:
             return hash(r.num)  # so constants hash as their value
-        return hash((r.num, r.s_exp, r.u_exp))
+        return hash((r.num, r.s_exp))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def evaluate(self, q_val: Fraction, a_formal: bool = True):
-        """Specialize q; returns a LaurentPoly in a over Q divided exactly.
-
-        Raises if an atom denominator does not cancel numerically.
-        """
+    def evaluate(self, q_val: Fraction):
+        """Specialize q; returns a LaurentPoly in a over Q."""
         q_val = QQ(q_val)
         s_val = q_val - 1 / q_val
         if s_val == 0:
@@ -155,21 +154,13 @@ class Scalar:
         num = self.num.evaluate({"q": q_val})
         if self.s_exp:
             num = num * (QQ(1) / s_val ** self.s_exp)
-        for _ in range(self.u_exp):
-            num = num.exact_div(U_ATOM)
-            if num is None:
-                raise ArithmeticError("u atom does not cancel")
         return num
 
     def __str__(self):
-        den = []
-        if self.s_exp:
-            den.append("(q-q^-1)" + (f"^{self.s_exp}" if self.s_exp > 1 else ""))
-        if self.u_exp:
-            den.append("(1-a^-2)" + (f"^{self.u_exp}" if self.u_exp > 1 else ""))
-        if not den:
+        if not self.s_exp:
             return str(self.num)
-        return f"({self.num}) / ({'*'.join(den)})"
+        power = f"^{self.s_exp}" if self.s_exp > 1 else ""
+        return f"({self.num}) / ((q-q^-1){power})"
 
     __repr__ = __str__
 

@@ -95,6 +95,8 @@ def test_deterministic_output(capsys):
     ("figure8_homfly.txt", ["homfly", "1 -2 1 -2"]),
     ("hopf_superpoly.json", ["superpoly", "--jm", "1", "--order", "6",
                              "--format", "json"]),
+    ("homfly_4strand.json", ["homfly", "--format", "json", "--strands", "4",
+                             "-2 3 -2 3 3"]),
 ])
 def test_golden_files(name, args, capsys):
     code, out = run_cli(args, capsys)

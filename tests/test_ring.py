@@ -91,6 +91,16 @@ def test_exact_division():
     assert (x ** 600 - 2).exact_div(x - 1) is None
 
 
+def test_exact_div_long_quotient_by_u():
+    # (a^1200 - 1) / (1 - a^-2) = a^2 (a^1198 + ... + 1): 600 terms
+    a = LaurentPoly.var(REG_QA, "a")
+    u = 1 - a ** -2
+    quotient = (a ** 1200 - 1).exact_div(u)
+    assert quotient == sum((a ** (2 * k) for k in range(1, 601)),
+                           LaurentPoly.zero(REG_QA))
+    assert len(quotient.terms) == 600
+
+
 def test_weight_grading():
     reg = VarRegistry.make([
         ("X12", 2, 0, ((1, -1), (0, 0))),

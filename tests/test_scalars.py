@@ -2,36 +2,37 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotmf.ring import LaurentPoly, QQ, VarRegistry
-from knotmf.scalars import REG_QA, RatFunc, S_ATOM, Scalar, U_ATOM, qa_poly
+from knotmf.scalars import (REG_QA, RatFunc, S_ATOM, Scalar, _s_divides,
+                            qa_poly)
 
 
 def test_loop_value_times_z_is_a():
-    # (a - a^-1)/(q - q^-1) * (q - q^-1)/(1 - a^-2) = a
+    # D z = a with z = s/(1 - a^-2), i.e. D s = a (1 - a^-2)
     d = Scalar.loop_value()
-    z = Scalar.trace_z()
-    assert (d * z).reduce() == Scalar(qa_poly({(0, 1): QQ(1)}))
+    a_u = qa_poly({(0, 1): QQ(1)}) * qa_poly({(0, 0): QQ(1), (0, -2): QQ(-1)})
+    r = d * Scalar(S_ATOM)
+    assert r.s_exp == 0 and r == Scalar(a_u)
 
 
 def test_reduce_cancels_atoms():
     p = qa_poly({(2, 0): QQ(1), (0, 0): QQ(-3)})
-    s = Scalar(p * S_ATOM, 1, 0)
+    s = Scalar(p * S_ATOM, 1)
     r = s.reduce()
     assert r.s_exp == 0 and r.num == p
-    assert Scalar(p * S_ATOM, 1, 0) == Scalar(p)  # cross-multiplied equality
+    assert Scalar(p * S_ATOM, 1) == Scalar(p)  # cross-multiplied equality
 
 
 def test_normalizing_value():
     d = Scalar.loop_value()
-    assert d.s_exp == 1 and d.u_exp == 0
+    assert d.s_exp == 1
     assert d.num == qa_poly({(0, 1): QQ(1), (0, -1): QQ(-1)})
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 2),
-       st.integers(0, 2))
-def test_reduce_preserves_value(c1, c2, i, j):
+@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 4))
+def test_reduce_preserves_value(c1, c2, i):
     num = qa_poly({(1, 0): QQ(c1), (0, 2): QQ(c2)})
-    s = Scalar(num * S_ATOM ** i * U_ATOM ** j, i, j)
+    s = Scalar(num * S_ATOM ** i, i)
     assert s.reduce() == s
     assert s.reduce().reduce() == s.reduce()
 
@@ -46,24 +47,41 @@ def qa_polys(draw, max_terms=5):
 
 
 @settings(max_examples=200, deadline=None)
-@given(qa_polys(), st.integers(0, 3), st.integers(0, 3))
-def test_reduce_is_canonical(p, i, j):
-    r = Scalar(p * S_ATOM ** i * U_ATOM ** j, i, j).reduce()
+@given(qa_polys(), st.integers(0, 6))
+def test_reduce_is_canonical(p, i):
+    r = Scalar(p * S_ATOM ** i, i).reduce()
     r0 = Scalar(p).reduce()
     assert r.num == r0.num
-    assert (r.s_exp, r.u_exp) == (r0.s_exp, r0.u_exp) == (0, 0)
+    assert r.s_exp == r0.s_exp == 0
     assert hash(r) == hash(Scalar(p))
 
 
-@pytest.mark.parametrize("num, s_exp, u_exp", [
-    (qa_poly({(1200, 0): QQ(1), (0, 0): QQ(-1)}), 1, 0),
-    (qa_poly({(0, 1200): QQ(1), (0, 0): QQ(-1)}), 0, 1),
-])
-def test_reduce_long_quotient(num, s_exp, u_exp):
-    # x^1200 - 1 = (x^2 - 1)(x^1198 + ... + 1): a 600-term quotient
-    s = Scalar(num, s_exp, u_exp)
+# (factor, whether every multiple of it is a multiple of s)
+Q_FACTORS = [(qa_poly({(0, 0): QQ(1)}), False), (S_ATOM, True),
+             (S_ATOM ** 2, True),
+             (qa_poly({(1, 0): QQ(1), (0, 0): QQ(-1)}), False),   # q - 1
+             (qa_poly({(1, 0): QQ(1), (0, 0): QQ(1)}), False),    # q + 1
+             (qa_poly({(1, 0): QQ(1), (0, 1): QQ(-1)}), False)]   # q - a
+
+
+@settings(max_examples=300, deadline=None)
+@given(qa_polys(), st.sampled_from(Q_FACTORS))
+def test_s_divides_matches_exact_div(p, case):
+    """The vanishing test at q = +-1 that ``Scalar.reduce`` uses agrees
+    with exact division by s, on random polynomials and on multiples of
+    s, q - 1 and q + 1."""
+    factor, s_multiple = case
+    f = p * factor
+    assert _s_divides(f) == (f.exact_div(S_ATOM) is not None)
+    if s_multiple:
+        assert _s_divides(f)
+
+
+def test_reduce_long_quotient():
+    # q^1200 - 1 = (q^2 - 1)(q^1198 + ... + 1): a 600-term quotient
+    s = Scalar(qa_poly({(1200, 0): QQ(1), (0, 0): QQ(-1)}), 1)
     r = s.reduce()
-    assert (r.s_exp, r.u_exp) == (0, 0)
+    assert r.s_exp == 0
     assert len(r.num.terms) == 600
     assert r == s and hash(r) == hash(s)
 
