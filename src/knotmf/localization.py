@@ -142,37 +142,8 @@ def syt_enumerate(shape: Partition) -> list[StandardTableau]:
 
 
 # ---------------------------------------------------------------------------
-# Monomial machinery for the residue engine
-
-
-@dataclass(frozen=True)
-class Mono:
-    """coeff * prod var^exp over a fixed registry (exponents by index)."""
-
-    coeff: Fraction
-    exps: tuple[int, ...]
-
-    def __mul__(self, other: "Mono") -> "Mono":
-        return Mono(self.coeff * other.coeff,
-                    tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __pow__(self, k: int) -> "Mono":
-        c = self.coeff ** k if k >= 0 else QQ(1) / self.coeff ** (-k)
-        return Mono(c, tuple(e * k for e in self.exps))
-
-    def exp_of(self, i: int) -> int:
-        return self.exps[i]
-
-    def substitute(self, i: int, value: "Mono") -> "Mono":
-        k = self.exps[i]
-        if k == 0:
-            return self
-        cleared = list(self.exps)
-        cleared[i] = 0
-        return Mono(self.coeff, tuple(cleared)) * (value ** k)
-
-    def is_one(self) -> bool:
-        return self.coeff == 1 and all(e == 0 for e in self.exps)
+# Residue terms.  Every monomial and atom is a one-term ``LaurentPoly`` over
+# the context registry.
 
 
 class PoleCollision(ArithmeticError):
@@ -181,15 +152,25 @@ class PoleCollision(ArithmeticError):
 
 @dataclass
 class Term:
-    mono: Mono
-    num_atoms: list[Mono]          # factors (1 - m)
-    den_atoms: list[Mono]
-    chain: list[tuple[int, Mono]] = field(default_factory=list)
+    """mono * prod (1 - m) over ``num_atoms`` / prod (1 - m) over
+    ``den_atoms``; ``chain`` lists the (box, value) substitutions made."""
 
-    def substitute(self, i: int, value: Mono) -> "Term":
-        return Term(self.mono.substitute(i, value),
-                    [m.substitute(i, value) for m in self.num_atoms],
-                    [m.substitute(i, value) for m in self.den_atoms],
+    mono: LaurentPoly
+    num_atoms: list[LaurentPoly]
+    den_atoms: list[LaurentPoly]
+    chain: list[tuple[int, LaurentPoly]] = field(default_factory=list)
+
+    def substitute(self, i: int, value: LaurentPoly) -> "Term":
+        """z_i -> value in the monomial and in every atom."""
+        reg = value.registry
+        images = {reg.names[i]: value}
+
+        def sub(m):  # most atoms lack z_i: read it off the packed key
+            (key,) = m.terms
+            return m.substitute(images) if reg.digit(key, i) else m
+
+        return Term(sub(self.mono), [sub(m) for m in self.num_atoms],
+                    [sub(m) for m in self.den_atoms],
                     list(self.chain) + [(i, value)])
 
     def cancel_pairs(self) -> "Term | None":
@@ -203,10 +184,10 @@ class Term:
             else:
                 den.append(m)
         for m in num:
-            if m.is_one():
+            if m == 1:
                 return None
         for m in den:
-            if m.is_one():
+            if m == 1:
                 raise PoleCollision(f"unmatched vanishing denominator {m}")
         return Term(self.mono, num, den, self.chain)
 
@@ -221,11 +202,8 @@ class ResidueContext:
         self.zi = list(range(n))
         self.iQ, self.iT, self.ia = n, n + 1, n + 2
 
-    def mono(self, coeff=1, **exps) -> Mono:
-        e = [0] * self.registry.nvars
-        for name, k in exps.items():
-            e[self.registry.index(name)] = k
-        return Mono(QQ(coeff), tuple(e))
+    def mono(self, coeff=1, **exps) -> LaurentPoly:
+        return LaurentPoly.monomial(self.registry, exps, coeff)
 
     def integrand(self, exponents: list[int]) -> Term:
         """The full multi-variable integrand for the box exponent vector.
@@ -235,11 +213,10 @@ class ResidueContext:
         """
         if len(exponents) != self.n:
             raise ValueError("need one exponent per box")
-        mono = self.mono()
+        mono = self.mono(**{f"z{i + 1}": b for i, b in enumerate(exponents)})
         num, den = [], []
         for i in range(self.n):
             z = f"z{i + 1}"
-            mono = mono * self.mono(**{z: exponents[i]})
             num.append(self.mono(-1, a=1, **{z: -1}))     # (1 + a/z_i)
             den.append(self.mono(**{z: -1}))              # (1 - 1/z_i)
         for i in range(self.n):
@@ -253,7 +230,7 @@ class ResidueContext:
 
     # -- pole policy ------------------------------------------------------
 
-    def allowed_pole(self, var_index: int, pole: Mono,
+    def allowed_pole(self, var_index: int, pole: LaurentPoly,
                      alive: set[int]) -> bool:
         """Kernel-side poles only: the contour prescription in the
         |Q|, |T| < 1 regime.
@@ -264,9 +241,9 @@ class ResidueContext:
         only.  The matter factor's poles at 0 and infinity always stay on
         the other side.
         """
-        if pole.coeff != 1:
+        exps, coeff = pole.monomial_parts()
+        if coeff != 1:
             return False
-        exps = pole.exps
         if exps[self.ia] != 0:
             return False
         zpart = [exps[i] for i in self.zi]
@@ -288,8 +265,11 @@ class ResidueContext:
                      alive: set[int]) -> list[Term]:
         """Sum of residues of ``term`` * dz/z over kernel-side poles."""
         out = []
+        reg = self.registry
+        name = reg.names[var_index]
         for k, atom in enumerate(term.den_atoms):
-            e = atom.exp_of(var_index)
+            (key,) = atom.terms
+            e = reg.digit(key, var_index)
             if e == 0:
                 continue
             if e != -1:
@@ -297,7 +277,7 @@ class ResidueContext:
                 continue
             # atom = c * rest / z vanishes at the pole of 1/(1 - c rest/z),
             # namely z = c * rest: clear the z exponent to read it off
-            pole = Mono(atom.coeff, atom.exps).substitute(var_index, self.mono())
+            pole = atom.substitute({name: 1})
             if not self.allowed_pole(var_index, pole, alive):
                 continue
             remaining = Term(term.mono,
@@ -347,9 +327,10 @@ def chain_box_values(ctx: ResidueContext, term: Term):
     # each substituted value references only later-resolved variables, so
     # resolve in reverse substitution order
     for i, v in reversed(term.chain):
-        pos = [v.exps[ctx.iQ], v.exps[ctx.iT]]
+        exps, _ = v.monomial_parts()
+        pos = [exps[ctx.iQ], exps[ctx.iT]]
         for j in ctx.zi:
-            k = v.exps[j]
+            k = exps[j]
             if k:
                 pos[0] += k * values[j][0]
                 pos[1] += k * values[j][1]
@@ -372,13 +353,11 @@ def chain_is_syt(positions: list[tuple[int, int]]) -> bool:
 
 
 def term_to_ratfunc(ctx: ResidueContext, term: Term) -> RatFunc:
-    reg = ctx.registry
-    num = LaurentPoly(reg, {term.mono.exps: term.mono.coeff})
-    one = LaurentPoly.const(reg, 1)
+    one = LaurentPoly.const(ctx.registry, 1)
+    num = term.mono
     for m in term.num_atoms:
-        num = num * (one - LaurentPoly(reg, {m.exps: m.coeff}))
-    den = [one - LaurentPoly(reg, {m.exps: m.coeff}) for m in term.den_atoms]
-    return RatFunc(num, den, cancel=False)
+        num = num * (one - m)
+    return RatFunc(num, [one - m for m in term.den_atoms], cancel=False)
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +373,15 @@ def syt_term(ctx: ResidueContext, tab: StandardTableau,
     n vanishing denominators, a spare vanishing numerator or an unmatched
     vanishing denominator is a regularization count mismatch.
     """
-    sub = ctx.integrand(exponents)
-    for i in range(ctx.n):
-        sub = sub.substitute(i, ctx.mono(Q=tab.coarm(i + 1),
-                                         T=tab.coleg(i + 1)))
-    den = list(sub.den_atoms)
+    values = {f"z{i}": ctx.mono(Q=tab.coarm(i), T=tab.coleg(i))
+              for i in range(1, ctx.n + 1)}
+    whole = ctx.integrand(exponents)
+    num = [m.substitute(values) for m in whole.num_atoms]
+    den = [m.substitute(values) for m in whole.den_atoms]
     try:
         for _ in range(ctx.n):
             den.remove(ctx.mono())
-        term = Term(sub.mono, sub.num_atoms, den, sub.chain).cancel_pairs()
+        term = Term(whole.mono.substitute(values), num, den).cancel_pairs()
     except (ValueError, PoleCollision):
         term = None
     if term is None:
@@ -416,7 +395,7 @@ def syt_term(ctx: ResidueContext, tab: StandardTableau,
 
 
 RESIDUE_STRAND_CAP = 4
-SYT_STRAND_CAP = 6
+SYT_STRAND_CAP = 7
 
 
 @dataclass
@@ -503,7 +482,7 @@ def superpoly_jm(jm_exponents: list[int], mode: str = "residue",
     """Character of the closure of the JM power braid delta^b.
 
     mode='residue' is the ground-truth iterated residue sum (n <= 4);
-    mode='syt' evaluates the closed tableau sum (n <= 6).  The two agree
+    mode='syt' evaluates the closed tableau sum (n <= 7).  The two agree
     exactly; `verify localization` asserts it.
     """
     n = len(jm_exponents) + 1
@@ -649,7 +628,7 @@ def _series_by_a(num: LaurentPoly, den: LaurentPoly, var: str,
     """
     iv = num.registry.index(var)
     series = RatFunc(num, [den], cancel=False).series_qt(order, var)
-    return {a_exp: {e[iv]: c for e, c in poly.terms.items()}
+    return {a_exp: {e[iv]: c for e, c in poly.decoded().items()}
             for a_exp, poly in series.coefficients_in("a").items()}
 
 
@@ -708,7 +687,7 @@ def homfly_crosscheck(jm_exponents: list[int], n: int,
         pval = invariant.value.evaluate(q0)
         ia = reg.index("a")
         pmap = {}
-        for e, c in pval.terms.items():
+        for e, c in pval.decoded().items():
             key = [0] * reg.nvars
             key[ia] = e[1]
             pmap[tuple(key)] = c

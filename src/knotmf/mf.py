@@ -627,7 +627,7 @@ class CEPresentation:
         reg = self.registry
         out = LaurentPoly.zero(reg)
         idx = {v: reg.index(v) for v in self.var_names}
-        for e, c in p.terms.items():
+        for e, c in p.decoded().items():
             for v, i in idx.items():
                 k = e[i]
                 if k == 0 or self.images[v].is_zero():
@@ -673,7 +673,7 @@ def ce_homology_rank2(pres: CEPresentation, degree_bound: int = 6):
         for m in basis:
             img = pres.apply(m)
             col = {}
-            for e, c in img.terms.items():
+            for e, c in img.decoded().items():
                 if e not in index:
                     raise AssertionError("derivation is not degree-preserving")
                 col[index[e]] = c
@@ -838,7 +838,7 @@ def _certify_exact(chart: MiddleChart, f: LaurentPoly, degree_bound: int):
     mid_idx = {reg.index(v) for v in chart.var_names}
     outer_monos = set()
     max_deg = 0
-    for e, _ in f.terms.items():
+    for e, _ in f.decoded().items():
         outer = tuple(0 if i in mid_idx else p for i, p in enumerate(e))
         outer_monos.add(outer)
         max_deg = max(max_deg, sum(e[i] for i in mid_idx))
@@ -852,11 +852,11 @@ def _certify_exact(chart: MiddleChart, f: LaurentPoly, degree_bound: int):
     for g in gens:
         img = chart.delta.apply(g)
         col = {}
-        for e, c in img.terms.items():
+        for e, c in img.decoded().items():
             col[index.setdefault(e, len(index))] = c
         cols.append(col)
     target = {}
-    for e, c in f.terms.items():
+    for e, c in f.decoded().items():
         if e not in index:
             raise AssertionError("leftover differential is not exact")
         target[index[e]] = c

@@ -4,20 +4,42 @@ Everything downstream (Hecke traces, Koszul rows, residue sums) is built on
 the two classes here: a variable registry carrying grading data, and a sparse
 Laurent polynomial with exact rational coefficients: an integral coefficient
 is a Python ``int``, any other a ``Fraction``.  No floats anywhere.
+
+A polynomial keys its terms by one int per exponent vector: the registry
+packs e as sum_i e_i * 2^(16 (n-1-i)), balanced base-2^16 digits with
+variable 0 most significant.  Adding keys adds exponent vectors, and while
+every |e_i| < 2^15 (the key width) int order is the lex order of the
+vectors.  Every polynomial carries ``span``, an upper bound on its |e_i|;
+an operation whose bound reaches the width takes exact exponent extremes
+and raises ``ResourceLimit`` if an exponent would leave it, so a key never
+wraps.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 QQ = Fraction
 
+KEY_BITS = 16  # VarRegistry.unpack reads digits as 16-bit struct fields
+KEY_HALF = 1 << (KEY_BITS - 1)
+KEY_MASK = (1 << KEY_BITS) - 1
+
 
 class ResourceLimit(RuntimeError):
     """A computation refused because its input exceeds a size cap or bound."""
+
+
+def checked_span(span: int) -> int:
+    """``span`` if exponents up to that size fit the key width, else raise."""
+    if span >= KEY_HALF:
+        raise ResourceLimit(f"exponent of size {span} is outside the key "
+                            f"width |e| < 2^{KEY_BITS - 1}")
+    return span
 
 
 def as_coeff(c):
@@ -50,7 +72,7 @@ class VarRegistry:
     ``char_lines`` lists character directions that act trivially on the chart
     (e.g. the weight of det(g) on a det=1 chart); weights of polynomials are
     only well-defined modulo these lines and ``weight_of`` canonicalizes
-    accordingly.
+    accordingly.  The registry also packs exponent vectors into keys.
     """
 
     names: tuple[str, ...]
@@ -65,6 +87,21 @@ class VarRegistry:
         if not (len(self.names) == len(self.q_weights) == len(self.t_weights)
                 == len(self.char_weights)):
             raise ValueError("weight lists must match variable list")
+        # digit i of a key sits at bit shifts[i]; adding offset makes every
+        # balanced digit e_i + 2^15 nonnegative, so a digit is a shift and
+        # a mask.  Flipping each digit's top bit then leaves e_i as a
+        # 16-bit two's complement field, which struct reads in one call.
+        n = len(self.names)
+        shifts = tuple(KEY_BITS * i for i in reversed(range(n)))
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "offset", sum(KEY_HALF << s for s in shifts))
+        object.__setattr__(self, "_fields", struct.Struct(f">{n}h").unpack)
+
+    def __reduce__(self):
+        # rebuild through __init__: the key helpers are derived, and a
+        # Struct method does not pickle
+        return VarRegistry, (self.names, self.q_weights, self.t_weights,
+                             self.char_weights, self.char_lines)
 
     @staticmethod
     def make(specs: Sequence[tuple], char_slots: int = 0,
@@ -101,54 +138,115 @@ class VarRegistry:
     def char_flat(self, i: int) -> tuple[int, ...]:
         return tuple(v for slot in self.char_weights[i] for v in slot)
 
+    # -- exponent keys --------------------------------------------------
+
+    def pack(self, e: Sequence[int]) -> int:
+        """Key of an exponent vector; raises past the key width."""
+        if len(e) != len(self.names):
+            raise ValueError(f"exponent vector {tuple(e)} does not match "
+                             f"{len(self.names)} variables")
+        key = 0
+        for x in e:
+            if not -KEY_HALF < x < KEY_HALF:
+                checked_span(abs(x))
+            key = (key << KEY_BITS) + x
+        return key
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """Exponent vector of a key."""
+        flipped = (key + self.offset) ^ self.offset
+        return self._fields(flipped.to_bytes(2 * len(self.shifts), "big"))
+
+    def digit(self, key: int, i: int) -> int:
+        """Exponent of variable i in a key."""
+        return (((key + self.offset) >> self.shifts[i]) & KEY_MASK) - KEY_HALF
+
+    def unit(self, i: int) -> int:
+        """Key of variable i to the first power."""
+        return 1 << self.shifts[i]
+
+
+def _extremes(reg: VarRegistry, terms) -> list[tuple[int, int]]:
+    """Per-variable (min, max) exponent over the keys of a nonempty dict."""
+    return [(min(col), max(col)) for col in zip(*map(reg.unpack, terms))]
+
+
+def _exact_span(reg: VarRegistry, terms) -> int:
+    return max((max(-lo, hi) for lo, hi in _extremes(reg, terms)), default=0)
+
+
+def _times(reg: VarRegistry, t1: dict, s1: int, t2: dict, s2: int):
+    """(product terms, span) of two term dicts with spans s1, s2.
+
+    Past the width the exact extremes decide: in each variable they add
+    under a product, since the product of the extreme parts is nonzero.
+    """
+    span = s1 + s2
+    if span >= KEY_HALF:
+        span = checked_span(max((
+            max(-lo1 - lo2, hi1 + hi2) for (lo1, hi1), (lo2, hi2)
+            in zip(_extremes(reg, t1), _extremes(reg, t2))), default=0))
+    terms: dict = {}
+    get = terms.get
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = e1 + e2
+            terms[e] = get(e, 0) + c1 * c2
+    return {e: c if type(c) is int else as_coeff(c)
+            for e, c in terms.items() if c}, span
+
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: exponent vector -> nonzero coefficient.
+    """Sparse Laurent polynomial: exponent key -> nonzero coefficient.
 
-    Every coefficient is canonical (see ``as_coeff``): operations that make a
-    coefficient keep integral ones as ``int``, so an integer-only
-    computation never builds a ``Fraction``.
+    ``terms`` is keyed by the registry's packed keys (see the module
+    docstring); ``decoded`` gives the exponent tuples.  Every coefficient
+    is canonical (see ``as_coeff``): operations that make a coefficient
+    keep integral ones as ``int``, so an integer-only computation never
+    builds a ``Fraction``.
     """
 
-    __slots__ = ("registry", "terms")
+    __slots__ = ("registry", "terms", "span")
 
     def __init__(self, registry: VarRegistry,
                  terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.registry = registry
         cleaned = {}
+        span = 0
         if terms:
+            pack = registry.pack
             for e, c in terms.items():
                 c = as_coeff(c)
                 if c:
-                    cleaned[tuple(e)] = c
+                    cleaned[pack(e)] = c
+                    span = max(span, max(map(abs, e), default=0))
         self.terms = cleaned
+        self.span = span
 
     @staticmethod
-    def _raw(registry: VarRegistry, terms: dict) -> "LaurentPoly":
-        """Internal constructor: terms are already clean canonical dicts."""
+    def _raw(registry: VarRegistry, terms: dict, span: int) -> "LaurentPoly":
+        """Internal constructor: canonical keyed terms, span < key width."""
         p = LaurentPoly.__new__(LaurentPoly)
         p.registry = registry
         p.terms = terms
+        p.span = span
         return p
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(reg: VarRegistry) -> "LaurentPoly":
-        return LaurentPoly(reg)
+        return LaurentPoly._raw(reg, {}, 0)
 
     @staticmethod
     def const(reg: VarRegistry, c) -> "LaurentPoly":
         c = as_coeff(c)
-        if c == 0:
-            return LaurentPoly(reg)
-        return LaurentPoly(reg, {(0,) * reg.nvars: c})
+        return LaurentPoly._raw(reg, {0: c} if c else {}, 0)
 
     @staticmethod
     def var(reg: VarRegistry, name: str, power: int = 1) -> "LaurentPoly":
-        e = [0] * reg.nvars
-        e[reg.index(name)] = power
-        return LaurentPoly(reg, {tuple(e): 1})
+        return LaurentPoly._raw(reg, {power * reg.unit(reg.index(name)): 1},
+                                checked_span(abs(power)))
 
     @staticmethod
     def monomial(reg: VarRegistry, exps: Mapping[str, int], coeff=1) -> "LaurentPoly":
@@ -163,15 +261,13 @@ class LaurentPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        z = (0,) * self.registry.nvars
-        return all(e == z for e in self.terms)
+        return not any(self.terms)  # the zero vector's key is 0
 
     def constant_value(self) -> Fraction:
-        z = (0,) * self.registry.nvars
-        for e, c in self.terms.items():
-            if e != z:
+        for e in self.terms:
+            if e:
                 raise ValueError("not a constant")
-        return self.terms.get(z, 0)
+        return self.terms.get(0, 0)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -180,11 +276,16 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise ValueError("not a monomial")
         ((e, c),) = self.terms.items()
-        return e, c
+        return self.registry.unpack(e), c
+
+    def decoded(self) -> dict[tuple[int, ...], Fraction]:
+        """The terms keyed by exponent tuples, in term order."""
+        unpack = self.registry.unpack
+        return {unpack(e): c for e, c in self.terms.items()}
 
     def variables(self) -> set[str]:
         used = set()
-        for e in self.terms:
+        for e in self.decoded():
             for i, p in enumerate(e):
                 if p:
                     used.add(self.registry.names[i])
@@ -192,14 +293,14 @@ class LaurentPoly:
 
     def coefficients_in(self, name: str) -> dict[int, "LaurentPoly"]:
         """Split into coefficient polynomials of powers of one variable."""
-        i = self.registry.index(name)
+        reg = self.registry
+        i = reg.index(name)
+        unit = reg.unit(i)
         out: dict[int, dict] = {}
         for e, c in self.terms.items():
-            k = e[i]
-            rest = list(e)
-            rest[i] = 0
-            out.setdefault(k, {})[tuple(rest)] = c
-        return {k: LaurentPoly(self.registry, d) for k, d in out.items()}
+            k = reg.digit(e, i)
+            out.setdefault(k, {})[e - k * unit] = c
+        return {k: LaurentPoly._raw(reg, d, self.span) for k, d in out.items()}
 
     # -- arithmetic ---------------------------------------------------
 
@@ -223,13 +324,15 @@ class LaurentPoly:
                     terms[e] = s if type(s) is int else as_coeff(s)
                 else:
                     del terms[e]
-        return LaurentPoly._raw(self.registry, terms)
+        return LaurentPoly._raw(self.registry, terms,
+                                max(self.span, other.span))
 
     __radd__ = __add__
 
     def __neg__(self):
         return LaurentPoly._raw(self.registry,
-                                {e: -c for e, c in self.terms.items()})
+                                {e: -c for e, c in self.terms.items()},
+                                self.span)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -243,43 +346,41 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             c = as_coeff(other)
             if c == 0:
-                return LaurentPoly(self.registry)
+                return LaurentPoly.zero(self.registry)
             return LaurentPoly._raw(self.registry, {
-                e: as_coeff(c * v) for e, v in self.terms.items()})
+                e: as_coeff(c * v) for e, v in self.terms.items()}, self.span)
         self._check(other)
-        terms: dict = {}
-        get = terms.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                terms[e] = get(e, 0) + c1 * c2
-        return LaurentPoly._raw(self.registry, {
-            e: c if type(c) is int else as_coeff(c)
-            for e, c in terms.items() if c})
+        terms, span = _times(self.registry, self.terms, self.span,
+                             other.terms, other.span)
+        return LaurentPoly._raw(self.registry, terms, span)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            e, c = self.monomial_parts()
-            inv = LaurentPoly._raw(self.registry,
-                                   {tuple(-x for x in e): coeff_div(1, c)})
+            if not self.is_monomial():
+                raise ValueError("not a monomial")
+            ((e, c),) = self.terms.items()
+            inv = LaurentPoly._raw(self.registry, {-e: coeff_div(1, c)},
+                                   self.span)
             return inv ** (-n)
         result = LaurentPoly.const(self.registry, 1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit: it could leave the width
+                base = base * base
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly:  # skips Fraction's ABC check
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = LaurentPoly.const(self.registry, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.registry == other.registry and self.terms == other.terms
+        return self.terms == other.terms and (
+            self.registry is other.registry or self.registry == other.registry)
 
     def __hash__(self):
         # constants compare equal to their Fraction value, so hash as it
@@ -313,23 +414,42 @@ class LaurentPoly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return LaurentPoly(self.registry)
+            return LaurentPoly.zero(self.registry)
         if divisor.is_monomial():
-            e0, c0 = divisor.monomial_parts()
+            ((e0, c0),) = divisor.terms.items()
+            span = self.span + divisor.span
+            if span >= KEY_HALF:
+                span = checked_span(max(
+                    max(d - lo, hi - d) for (lo, hi), d in zip(
+                        _extremes(self.registry, self.terms),
+                        self.registry.unpack(e0))))
             return LaurentPoly._raw(self.registry, {
-                tuple(a - b for a, b in zip(e, e0)): coeff_div(c, c0)
-                for e, c in self.terms.items()})
+                e - e0: coeff_div(c, c0) for e, c in self.terms.items()}, span)
         if len(divisor.terms) == 2:
             return self._div_binomial(divisor)
         return self._div_lex(divisor)
 
+    def _division_span(self, divisor: "LaurentPoly", gmax: int = 0) -> int:
+        """Quotient span of an exact division, once its keys are known to
+        fit the width: quotient and remainder exponents are at most
+        span_n + span_d in size, binomial chain labels f - k*g at most
+        span_n * (1 + gmax) with gmax the largest |g_i|."""
+        sn, sd = self.span, divisor.span
+        if sn * (1 + gmax) + sd >= KEY_HALF:
+            reg = self.registry
+            sn = _exact_span(reg, self.terms)
+            sd = _exact_span(reg, divisor.terms)
+            checked_span(sn * (1 + gmax) + sd)
+        return sn + sd
+
     def _div_lex(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
         """``exact_div`` by lead-term reduction, for any non-monomial divisor."""
+        reg = self.registry
+        span = self._division_span(divisor)
         box = []
-        for i in range(self.registry.nvars):
-            exps_n = [e[i] for e in self.terms]
-            exps_d = [e[i] for e in divisor.terms]
-            lo, hi = min(exps_n) - min(exps_d), max(exps_n) - max(exps_d)
+        for (lo_n, hi_n), (lo_d, hi_d) in zip(_extremes(reg, self.terms),
+                                              _extremes(reg, divisor.terms)):
+            lo, hi = lo_n - lo_d, hi_n - hi_d
             if lo > hi:
                 return None
             box.append((lo, hi))
@@ -338,43 +458,43 @@ class LaurentPoly:
         lc = divisor.terms[le]
         rest = [(e, c) for e, c in divisor.terms.items() if e != le]
         remainder = dict(self.terms)
-        q_terms: dict[tuple[int, ...], Fraction] = {}
+        q_terms: dict[int, Fraction] = {}
+        unpack = reg.unpack
         while remainder:
             re = max(remainder)
-            qe = tuple(a - b for a, b in zip(re, le))
-            if any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
+            qe = re - le
+            if any(not lo <= x <= hi for x, (lo, hi) in zip(unpack(qe), box)):
                 return None
             qc = coeff_div(remainder.pop(re), lc)
             q_terms[qe] = qc
             for e, c in rest:
-                k = tuple(a + b for a, b in zip(qe, e))
+                k = qe + e
                 s = remainder.get(k)
                 s = -qc * c if s is None else s - qc * c
                 if s == 0:
                     remainder.pop(k, None)
                 else:
                     remainder[k] = s
-        return LaurentPoly._raw(self.registry, q_terms)
+        return LaurentPoly._raw(reg, q_terms, span)
 
     def _div_binomial(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
         """``exact_div`` by a two-term divisor: chain running sums."""
+        reg = self.registry
         (e, c), (eg, cg) = sorted(divisor.terms.items())
-        g = tuple(map(sub, eg, e))
+        g = [b - a for a, b in zip(reg.unpack(e), reg.unpack(eg))]
+        span = self._division_span(divisor, max(map(abs, g)))
         j = 0
         while not g[j]:
             j += 1
-        gj = g[j]
+        gj, shift, offset = g[j], reg.shifts[j], reg.offset
+        gk = eg - e  # the key of g
         r = coeff_div(-cg, c)
-        # chains keyed by their exponent at k = 0; kgs caches k -> k*g
-        chains: dict[tuple[int, ...], list] = {}
-        kgs: dict[int, tuple[int, ...]] = {}
+        # chains keyed by their exponent at k = 0, with k from digit j
+        chains: dict[int, list] = {}
         for f, p in self.terms.items():
-            k = f[j] // gj
-            kg = kgs.get(k)
-            if kg is None:
-                kg = kgs[k] = tuple([k * x for x in g])
-            chains.setdefault(tuple(map(sub, f, kg)), []).append((k, f, p))
-        acc_terms: dict[tuple[int, ...], Fraction] = {}  # c * quotient
+            k = ((((f + offset) >> shift) & KEY_MASK) - KEY_HALF) // gj
+            chains.setdefault(f - k * gk, []).append((k, f, p))
+        acc_terms: dict[int, Fraction] = {}  # c * quotient
         for chain in chains.values():
             if len(chain) == 1:  # a lone term cannot cancel
                 return None
@@ -384,53 +504,94 @@ class LaurentPoly:
                 if acc:  # a nonzero acc runs on through the gap since prev
                     for _ in range(prev + 1, k):
                         acc = r * acc
-                        x = tuple(map(add, x, g))
+                        x += gk
                         acc_terms[x] = acc
                 acc = r * acc + p
                 if acc:
-                    x = tuple(map(sub, f, e))
+                    x = f - e
                     acc_terms[x] = acc
                 prev = k
             if acc:
                 return None
         c_inv = coeff_div(1, c)
-        return LaurentPoly._raw(self.registry, {
-            x: as_coeff(a * c_inv) for x, a in acc_terms.items()})
+        return LaurentPoly._raw(reg, {
+            x: as_coeff(a * c_inv) for x, a in acc_terms.items()}, span)
 
     def substitute(self, images: Mapping[str, "LaurentPoly"],
                    target: VarRegistry | None = None) -> "LaurentPoly":
         """Ring-homomorphism image; unspecified variables map to themselves.
 
-        A variable occurring with negative exponent must have a monomial
-        image (so the inverse exists).
+        One pass over the terms: a kept variable moves its digit to its
+        place in the target registry, a mapped one multiplies the term by a
+        power of its image, computed once per call.  A variable occurring
+        with negative exponent must have a monomial image (so the inverse
+        exists).
         """
-        reg = target if target is not None else self.registry
+        src = self.registry
+        reg = target if target is not None else src
         imgs: dict[int, LaurentPoly] = {}
         for name, p in images.items():
-            i = self.registry.index(name)
+            i = src.index(name)
             if not isinstance(p, LaurentPoly):
                 p = LaurentPoly.const(reg, p)
             if p.registry != reg:
                 raise ValueError("image registry mismatch")
             imgs[i] = p
-        out = LaurentPoly(reg)
-        for e, c in self.terms.items():
-            term = LaurentPoly.const(reg, c)
-            for i, p in enumerate(e):
-                if p == 0:
+        # (variable, image or None, key change per unit exponent); a kept
+        # variable missing from the target has change None
+        moves = []
+        for i, name in enumerate(src.names):
+            img = imgs.get(i)
+            if img is not None:
+                moves.append((i, img, -src.unit(i)))
+            elif reg is not src:
+                delta = (reg.unit(reg.index(name)) - src.unit(i)
+                         if name in reg.names else None)
+                if delta != 0:
+                    moves.append((i, None, delta))
+        offset, shifts = src.offset, src.shifts
+        powers: dict[tuple[int, int], LaurentPoly] = {}
+        out: dict = {}
+        get = out.get
+        span = 0
+        for key, c in self.terms.items():
+            u = key + offset
+            part, part_span = {0: c}, 0
+            for i, img, delta in moves:
+                p = ((u >> shifts[i]) & KEY_MASK) - KEY_HALF
+                if not p:
                     continue
-                if i in imgs:
-                    img = imgs[i]
+                if delta is None:
+                    reg.index(src.names[i])  # raises KeyError
+                key += p * delta
+                if img is None:
+                    continue
+                pw = powers.get((i, p))
+                if pw is None:
                     if p < 0 and not img.is_monomial():
                         raise ValueError(
                             f"non-invertible image for Laurent variable "
-                            f"{self.registry.names[i]!r}")
-                    term = term * (img ** p)
+                            f"{src.names[i]!r}")
+                    pw = powers[i, p] = img ** p
+                part, part_span = _times(reg, part, part_span,
+                                         pw.terms, pw.span)
+            # key now holds the kept exponents, each at most self.span
+            s = self.span + part_span
+            if s >= KEY_HALF:
+                s = _times(reg, {key: 1}, self.span, part, part_span)[1]
+            span = max(span, s)
+            for f, d in part.items():
+                x = key + f
+                t = get(x)
+                if t is None:
+                    out[x] = d
                 else:
-                    name = self.registry.names[i]
-                    term = term * LaurentPoly.var(reg, name, p)
-            out = out + term
-        return out
+                    t += d
+                    if t:
+                        out[x] = t if type(t) is int else as_coeff(t)
+                    else:
+                        del out[x]
+        return LaurentPoly._raw(reg, out, span)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> "LaurentPoly":
         return self.substitute({k: LaurentPoly.const(self.registry, v)
@@ -449,7 +610,8 @@ class LaurentPoly:
         reg = self.registry
         width = len(reg.char_flat(0)) if reg.char_weights else 0
         seen = None
-        for e in self.terms or ((0,) * reg.nvars,):
+        for key in self.terms or (0,):
+            e = reg.unpack(key)
             ch = None
             if width:
                 acc = [0] * width
@@ -469,7 +631,9 @@ class LaurentPoly:
     # -- output ---------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
+        """(exponent tuple, coefficient) pairs in lex order."""
+        unpack = self.registry.unpack
+        return [(unpack(e), c) for e, c in sorted(self.terms.items())]
 
     def __str__(self):
         if not self.terms:
@@ -567,8 +731,12 @@ class QuotientReducer:
                 raise ValueError("registry mismatch")
             self.rules.append((tuple(e), rest))
         for _, rest in self.rules:
-            if any(f[i] for f in rest.terms for i in lead_vars):
+            if any(f[i] for f in rest.decoded() for i in lead_vars):
                 raise ValueError("a relation rest contains a lead variable")
+        # per rule: the lead's key and its (digit shift, exponent) pairs
+        self._leads = [(registry.pack(lead),
+                        [(registry.shifts[i], x) for i, x in enumerate(lead)
+                         if x]) for lead, _ in self.rules]
 
     @staticmethod
     def det_one(registry: VarRegistry, *prefixes: str) -> "QuotientReducer":
@@ -585,32 +753,40 @@ class QuotientReducer:
         return QuotientReducer(registry, [rule(g) for g in prefixes or ("a",)])
 
     def normal_form(self, p: LaurentPoly) -> LaurentPoly:
-        if p.registry != self.registry:
+        reg = self.registry
+        if p.registry != reg:
             raise ValueError("registry mismatch")
-        terms = p.terms
-        for lead, rest in self.rules:
-            idx = [i for i, x in enumerate(lead) if x]
-            hits = [(e, k) for e in terms
-                    if (k := min([e[i] // lead[i] for i in idx])) >= 1]
+        offset = reg.offset
+        terms, span = p.terms, p.span
+        for (lead_key, digits), (_, rest) in zip(self._leads, self.rules):
+            hits = [(e, k) for e in terms if (k := min([
+                ((((e + offset) >> s) & KEY_MASK) - KEY_HALF) // x
+                for s, x in digits])) >= 1]
             if not hits:
                 continue
             terms = dict(terms)
-            powers: dict[int, dict] = {}
+            powers: dict[int, LaurentPoly] = {}
             get = terms.get
+            top = span
             for e, k in hits:
                 # the new terms keep base's lead exponents, so none is a hit
                 c = terms.pop(e)
                 r = powers.get(k)
                 if r is None:
-                    r = powers[k] = (rest ** k).terms
-                base = [a - k * b for a, b in zip(e, lead)]
-                for f, d in r.items():
-                    x = tuple(map(add, base, f))
+                    r = powers[k] = rest ** k
+                base = e - k * lead_key  # no exponent grows: span bounds it
+                bound = span + r.span
+                if bound >= KEY_HALF:
+                    bound = _times(reg, {base: 1}, span, r.terms, r.span)[1]
+                top = max(top, bound)
+                for f, d in r.terms.items():
+                    x = base + f
                     s = get(x, 0) + c * d
                     if s:
                         terms[x] = s if type(s) is int else as_coeff(s)
                     else:
                         del terms[x]
+            span = top
         if terms is p.terms:
             return p
-        return LaurentPoly._raw(self.registry, terms)
+        return LaurentPoly._raw(reg, terms, span)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ring import LaurentPoly, VarRegistry, QQ
+from .ring import (KEY_BITS, KEY_HALF, KEY_MASK, LaurentPoly, VarRegistry, QQ,
+                   coeff_div)
 
 # Registry underlying every Scalar: q carries the q-grading, a the a-grading.
 REG_QA = VarRegistry.make([("q", 1, 0), ("a", 0, 0)])
@@ -32,13 +33,18 @@ def qa_poly(terms: Mapping[tuple[int, int], Fraction]) -> LaurentPoly:
 S_ATOM = qa_poly({(1, 0): QQ(1), (-1, 0): QQ(-1)})       # q - q^-1
 
 
+# a (q, a) key is q * 2^16 + a, so key mod 2^17 is the (a exponent,
+# q parity) class of the term
+_CLASS_MASK = (1 << (KEY_BITS + 1)) - 1
+
+
 def _s_divides(num: LaurentPoly) -> bool:
     """s | num: num vanishes at q = 1 and at q = -1 in each a-slice, i.e.
     the coefficients of each (a exponent, q parity) class sum to 0."""
     sums: dict = {}
     get = sums.get
-    for (qe, ae), c in num.terms.items():
-        k = (ae, qe & 1)
+    for k, c in num.terms.items():
+        k &= _CLASS_MASK
         sums[k] = get(k, 0) + c
     return not any(sums.values())
 
@@ -183,9 +189,9 @@ class RatFunc:
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
             if f.is_monomial():
-                e, c = f.monomial_parts()
-                self.num = self.num * LaurentPoly(
-                    num.registry, {tuple(-x for x in e): QQ(1) / c})
+                ((e, c),) = f.terms.items()
+                self.num = self.num * LaurentPoly._raw(
+                    num.registry, {-e: coeff_div(1, c)}, f.span)
         if cancel:
             self._cancel()
 
@@ -201,14 +207,17 @@ class RatFunc:
 
     @staticmethod
     def sum(parts: "Sequence[RatFunc]") -> "RatFunc":
-        """Left fold of ``__add__``, starting from the first part rebuilt
-        with cancellation, so every partial sum is cancelled as it goes."""
+        """Balanced pairwise tree of ``__add__``, starting from the first
+        part rebuilt with cancellation, so every partial sum is cancelled
+        as it goes.  A left fold would scale each partial sum up to a
+        growing denominator union; the tree keeps both operands small."""
         if not parts:
             raise ValueError("empty sum")
-        total = RatFunc(parts[0].num, parts[0].den)
-        for p in parts[1:]:
-            total = total + p
-        return total
+        level = [RatFunc(parts[0].num, parts[0].den), *parts[1:]]
+        while len(level) > 1:
+            level = [level[i] + level[i + 1] if i + 1 < len(level)
+                     else level[i] for i in range(0, len(level), 2)]
+        return level[0]
 
     @property
     def registry(self):
@@ -291,14 +300,16 @@ class RatFunc:
         negative degree loses nothing below ``order``.
         """
         reg = self.registry
-        idx = [reg.index(name) for name in names]
+        shifts = [reg.shifts[reg.index(name)] for name in names]
+        offset, base = reg.offset, KEY_HALF * len(shifts)
 
         def deg(e):
-            return sum(e[i] for i in idx)
+            e += offset
+            return sum([(e >> s) & KEY_MASK for s in shifts]) - base
 
         def trunc(p: LaurentPoly, top: int) -> LaurentPoly:
             return LaurentPoly._raw(reg, {e: c for e, c in p.terms.items()
-                                          if deg(e) <= top})
+                                          if deg(e) <= top}, p.span)
 
         out, tails = self.num, []
         for f in self.den:
@@ -307,7 +318,7 @@ class RatFunc:
             if len(lead) != 1:
                 raise ValueError(f"factor {f} has no single lowest-degree "
                                  f"monomial in {', '.join(names)}")
-            minv = LaurentPoly._raw(reg, dict(lead)) ** -1
+            minv = LaurentPoly._raw(reg, dict(lead), f.span) ** -1
             out = out * minv
             tails.append(LaurentPoly.const(reg, 1) - f * minv)
         out = trunc(out, order)

@@ -1,3 +1,6 @@
+import os
+import pathlib
+
 import pytest
 
 from knotmf.localization import (Partition, ResidueContext, _series_by_a,
@@ -51,7 +54,7 @@ def test_zeta_atoms_structure():
     assert len(atoms["num"]) == 2 and len(atoms["den"]) == 2
     # numerator vanishes at equal arguments: the x = 1 zero of (1 - x)
     first = atoms["num"][0]
-    assert first.substitute(0, ctx.mono()).substitute(1, ctx.mono()).is_one()
+    assert first.substitute({"z1": 1}).substitute({"z2": 1}) == 1
 
 
 def test_residue_pushforward_examples():
@@ -187,6 +190,8 @@ def test_character_json():
 def test_guard_caps():
     with pytest.raises(ResourceLimit):
         superpoly_jm([1] * 5, mode="residue")
+    with pytest.raises(ResourceLimit):
+        superpoly_jm([1] * 7, mode="syt")
 
 
 def test_series_by_a_with_a_in_the_denominator():
@@ -237,7 +242,7 @@ def test_syt_term_cancels_pairs(n):
         for tab in syt_enumerate(shape):
             t = syt_term(ctx, tab, [0] + [1] * (n - 1))
             assert not any(m in t.den_atoms for m in t.num_atoms)
-            assert not any(m.is_one() for m in t.num_atoms + t.den_atoms)
+            assert not any(m == 1 for m in t.num_atoms + t.den_atoms)
 
 
 def test_five_box_tableau_mode():
@@ -251,3 +256,18 @@ def test_five_box_tableau_mode():
     assert rf.den == []
     assert rf.num.substitute({"Q": t_, "T": q_}) == rf.num
     assert rf.num.substitute({"a": LaurentPoly.const(reg, -1)}).is_zero()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_five_box_golden():
+    """str() of the reduced 5-box tableau characters [1,1,1,1] and
+    [2,1,1,2], pinned verbatim (the 6-box pair is checked in CI by
+    scripts/check_syt_golden.py)."""
+    out = "".join(f"syt {jm}\n{superpoly_jm(jm, mode='syt').reduced}\n"
+                  for jm in ([1, 1, 1, 1], [2, 1, 1, 2]))
+    path = GOLDEN / "syt5_reduced.txt"
+    if os.environ.get("KNOTMF_REGOLD") == "1":
+        path.write_text(out)
+    assert path.read_text() == out, "golden mismatch for 5-box characters"

@@ -62,7 +62,7 @@ def test_substitute_is_ring_hom(p, q):
     def clear(poly):
         # shift negative exponents away so every image is applicable
         return LaurentPoly(REG, {tuple(abs(i) for i in e): c
-                                 for e, c in poly.terms.items()})
+                                 for e, c in poly.decoded().items()})
 
     p, q = clear(p), clear(q)
     lhs = (p * q).substitute(images)
@@ -139,7 +139,7 @@ def test_reducer_ring_map(p, q):
 
     def clear(poly):
         return LaurentPoly(REG_A, {tuple(abs(i) for i in e): c
-                                   for e, c in poly.terms.items()})
+                                   for e, c in poly.decoded().items()})
 
     p, q = clear(p), clear(q)
     nf = red.normal_form
@@ -153,7 +153,7 @@ def restart_normal_form(red, p):
     the first such rule, then the scan restarts from the first term."""
     reg = red.registry
     while True:
-        for e, c in p.terms.items():
+        for e, c in p.decoded().items():
             for lead, rest in red.rules:
                 k = min((e[i] // lead[i] for i in range(len(e)) if lead[i]),
                         default=0)
@@ -213,7 +213,7 @@ def test_large_power_normal_form():
     assert (len(p.terms), len(nf.terms)) == (969, 4845)
     for lead, _ in red.rules:
         assert not any(all(x >= l for x, l in zip(e, lead) if l)
-                       for e in nf.terms)
+                       for e in nf.decoded())
     assert red.normal_form(nf) == nf
     point = {n: Fraction(k + 2, 3) for k, n in enumerate(REG_CONV.names)}
     for g in "ab":
@@ -222,7 +222,7 @@ def test_large_power_normal_form():
 
     def at(poly):
         total = Fraction(0)
-        for e, c in poly.terms.items():
+        for e, c in poly.decoded().items():
             term = Fraction(c)
             for name, k in zip(REG_CONV.names, e):
                 term *= point[name] ** k
@@ -235,6 +235,15 @@ def test_large_power_normal_form():
 def test_json_round_trip():
     p = v("x", -2) * 3 + v("y") * Fraction(5, 7) + 1
     assert LaurentPoly.from_json(REG, p.to_json()) == p
+
+
+def test_pickle_and_copy_round_trip():
+    import copy
+    import pickle
+    p = v("x", -2) * 3 + v("y") * Fraction(5, 7) + 1
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert q == p and q.registry == REG and str(q) == str(p)
+        assert (q * v("z")).decoded() == (p * v("z")).decoded()
 
 
 @st.composite
@@ -264,15 +273,15 @@ def assert_canonical(p):
         assert type(c) in (int, Fraction)
         assert type(c) is int or c.denominator != 1
     as_fractions = LaurentPoly._raw(
-        p.registry, {e: Fraction(c) for e, c in p.terms.items()})
+        p.registry, {e: Fraction(c) for e, c in p.terms.items()}, p.span)
     assert p == as_fractions
     assert hash(p) == hash(as_fractions)
 
 
 def fraction_product(p, q):
     out = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, c1 in p.decoded().items():
+        for e2, c2 in q.decoded().items():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
     return {e: c for e, c in out.items() if c}
@@ -286,7 +295,7 @@ def test_coefficients_stay_exact(p, q, c, k, j):
     product = p * q
     for r in (p + q, p - q, -p, product, p * c, c * p, p + c, p ** k):
         assert_canonical(r)
-    assert product.terms == fraction_product(p, q)
+    assert product.decoded() == fraction_product(p, q)
     mono = LaurentPoly.monomial(REG, {"x": 1, "y": -2}, c or Fraction(2, 3))
     assert_canonical(mono ** -j)
     assert mono ** -j * mono ** j == LaurentPoly.const(REG, 1)
@@ -295,7 +304,7 @@ def test_coefficients_stay_exact(p, q, c, k, j):
         assert_canonical(quotient)
         assert quotient == p
         assert_canonical(p.exact_div(mono))
-    images = {"x": mono, "z": q if all(e[2] >= 0 for e in p.terms) else mono}
+    images = {"x": mono, "z": q if all(e[2] >= 0 for e in p.decoded()) else mono}
     assert_canonical(p.substitute(images))
     assert_canonical(p.evaluate({"y": c or Fraction(-3, 4)}))
 
@@ -304,11 +313,11 @@ def test_exact_division_non_monic():
     x = v("x")
     half = (x + 1).exact_div(2 * x + 2)
     assert half == LaurentPoly.const(REG, Fraction(1, 2))
-    assert half.terms == {(0, 0, 0): Fraction(1, 2)}
+    assert half.decoded() == {(0, 0, 0): Fraction(1, 2)}
     assert type(half.constant_value()) is Fraction
     three = (3 * x + 3).exact_div(x + 1)
     assert type(three.constant_value()) is int and three == 3
-    assert (x * Fraction(4, 3)).exact_div(x * Fraction(2, 3)).terms == {
+    assert (x * Fraction(4, 3)).exact_div(x * Fraction(2, 3)).decoded() == {
         (0, 0, 0): 2}
 
 
@@ -350,3 +359,223 @@ def test_binomial_division_matches_lex(case):
     if fast is not None:
         assert_canonical(fast)
         assert fast.terms == slow.terms
+
+
+# -- packed keys against a tuple-key reference --------------------------
+#
+# The reference holds a polynomial as {exponent tuple: Fraction}, the
+# representation LaurentPoly used before its keys were packed ints.
+
+def ref(p):
+    return {e: Fraction(c) for e, c in p.decoded().items()}
+
+
+def ref_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(p, k, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_div(p, d):
+    """Lex lead-term division with the exponent box, on tuples."""
+    if not p:
+        return {}
+    box = [(min(e[i] for e in p) - min(e[i] for e in d),
+            max(e[i] for e in p) - max(e[i] for e in d))
+           for i in range(len(next(iter(d))))]
+    le = max(d)
+    rem, quo = dict(p), {}
+    while rem:
+        re = max(rem)
+        qe = tuple(a - b for a, b in zip(re, le))
+        if any(not lo <= x <= hi for x, (lo, hi) in zip(qe, box)):
+            return None
+        qc = rem[re] / d[le]
+        quo[qe] = qc
+        rem = ref_add(rem, ref_mul({qe: -qc}, d))
+    return quo
+
+
+def ref_substitute(p, images, nvars):
+    """images: {variable index: reference dict}; others map to themselves."""
+    out = {}
+    for e, c in p.items():
+        kept = tuple(0 if i in images else k for i, k in enumerate(e))
+        term = {kept: c}
+        for i, img in images.items():
+            if e[i] < 0:
+                ((me, mc),) = img.items()
+                img, k = {tuple(-x for x in me): 1 / mc}, -e[i]
+            else:
+                k = e[i]
+            term = ref_mul(term, ref_pow(img, k, nvars))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_str(p, names):
+    parts = []
+    for e, c in sorted(p.items()):
+        c = c.numerator if c.denominator == 1 else c
+        mono = "*".join(n if k == 1 else f"{n}^{k}"
+                        for n, k in zip(names, e) if k)
+        parts.append(str(c) if not mono else mono if c == 1
+                     else f"-{mono}" if c == -1 else f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_polys(), mixed_polys(), st.integers(0, 3), st.data())
+def test_packed_ring_matches_tuple_reference(p, q, k, data):
+    rp, rq = ref(p), ref(q)
+    assert ref(p * q) == ref_mul(rp, rq)
+    assert ref(p + q) == ref_add(rp, rq)
+    assert ref(p ** k) == ref_pow(rp, k, REG.nvars)
+    for r in (p, q, p * q, p + q):
+        assert [e for e, _ in r.sorted_terms()] == sorted(ref(r))
+        assert str(r) == ref_str(ref(r), REG.names)
+    if not q.is_zero():
+        assert ref((p * q).exact_div(q)) == rp
+        quotient = p.exact_div(q)
+        expected = ref_div(rp, rq)
+        assert (quotient is None) == (expected is None)
+        if quotient is not None:
+            assert ref(quotient) == expected
+    mono = LaurentPoly.monomial(REG, {"x": data.draw(st.integers(-2, 2)),
+                                      "z": 1}, data.draw(mixed_coeffs()) or 2)
+    img_y = q if all(e[1] >= 0 for e in rp) else mono
+    got = p.substitute({"x": mono, "y": img_y})
+    assert ref(got) == ref_substitute(rp, {0: ref(mono), 1: ref(img_y)},
+                                      REG.nvars)
+
+
+def test_exponent_past_key_width_raises():
+    from knotmf.ring import KEY_HALF, ResourceLimit
+    top = KEY_HALF - 1
+    for e in ((KEY_HALF, 0, 0), (0, -KEY_HALF, 0), (0, 0, 10 ** 6)):
+        with pytest.raises(ResourceLimit):
+            LaurentPoly(REG, {e: 1})
+    with pytest.raises(ResourceLimit):
+        v("y", -KEY_HALF)
+    assert LaurentPoly(REG, {(top, -top, 0): 1}).decoded() == {
+        (top, -top, 0): 1}
+    x, y = v("x", KEY_HALF // 2), v("y", KEY_HALF // 2)
+    with pytest.raises(ResourceLimit):
+        x * x
+    with pytest.raises(ResourceLimit):
+        v("y", -KEY_HALF // 2) * v("y", -KEY_HALF // 2)
+    # the bound is exact per variable: no raise while every one fits
+    assert (x * y * (v("x") + 1)).decoded() == {
+        (KEY_HALF // 2 + 1, KEY_HALF // 2, 0): 1,
+        (KEY_HALF // 2, KEY_HALF // 2, 0): 1}
+    with pytest.raises(ResourceLimit):
+        x ** 2
+    with pytest.raises(ResourceLimit):
+        (2 * v("x", -3)) ** (KEY_HALF // 3 + 1)
+    assert (x * v("x", -1)) ** 1 == v("x", KEY_HALF // 2 - 1)
+    with pytest.raises(ResourceLimit):
+        v("x", 2).substitute({"x": x})
+    with pytest.raises(ResourceLimit):
+        (v("x") * v("y", KEY_HALF // 2)).substitute({"x": y})
+    assert v("x", 2).substitute({"x": v("x", top // 2)}) == v("x", top - 1)
+    with pytest.raises(ResourceLimit):
+        v("x", -KEY_HALF // 2).exact_div(x)
+
+
+# -- the one-pass substitute against the chain of products it replaced --
+
+REG_T = VarRegistry.make([("w", 0, 0), ("z", 0, 0), ("y", 0, 0),
+                          ("x", 0, 0)])
+
+
+def chain_substitute(p, images, target=None):
+    """Each term as a chain of full products, one per variable."""
+    reg = target if target is not None else p.registry
+    imgs = {}
+    for name, img in images.items():
+        i = p.registry.index(name)
+        if not isinstance(img, LaurentPoly):
+            img = LaurentPoly.const(reg, img)
+        if img.registry != reg:
+            raise ValueError("image registry mismatch")
+        imgs[i] = img
+    out = LaurentPoly(reg)
+    for e, c in p.decoded().items():
+        term = LaurentPoly.const(reg, c)
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            if i in imgs:
+                if k < 0 and not imgs[i].is_monomial():
+                    raise ValueError("non-invertible image")
+                term = term * (imgs[i] ** k)
+            else:
+                term = term * LaurentPoly.var(reg, p.registry.names[i], k)
+        out = out + term
+    return out
+
+
+def image_polys(reg):
+    return st.one_of(mixed_coeffs(), mixed_polys(3, reg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.booleans(), st.data())
+def test_substitute_matches_chain_of_products(retarget, signed, data):
+    target = REG_T if retarget else REG
+    p = data.draw(mixed_polys(5))
+    if not signed:  # no negative exponent, so no image can be refused
+        p = LaurentPoly(REG, {tuple(map(abs, e)): c
+                              for e, c in p.decoded().items()})
+    names = data.draw(st.lists(st.sampled_from(REG.names), unique=True))
+    images = {n: data.draw(image_polys(target)) for n in names}
+    try:
+        slow = chain_substitute(p, images, target if retarget else None)
+    except ValueError:
+        with pytest.raises(ValueError, match="non-invertible image"):
+            p.substitute(images, target if retarget else None)
+        return
+    fast = p.substitute(images, target if retarget else None)
+    assert fast.registry == target
+    assert list(fast.terms.items()) == list(slow.terms.items())
+    assert [type(c) for c in fast.terms.values()] == \
+        [type(c) for c in slow.terms.values()]
+
+
+def test_substitute_target_and_errors():
+    x, y = v("x"), v("y")
+    p = x * v("y", -2) + 3 * v("z")
+    t = lambda n, k=1: LaurentPoly.var(REG_T, n, k)
+    got = p.substitute({"x": t("w") + 1}, REG_T)
+    assert got == (t("w") + 1) * t("y", -2) + 3 * t("z")
+    assert got == chain_substitute(p, {"x": t("w") + 1}, REG_T)
+    with pytest.raises(ValueError, match="non-invertible"):
+        v("x", -1).substitute({"x": x + y})
+    with pytest.raises(ValueError, match="image registry mismatch"):
+        x.substitute({"x": t("w")})
+    # a kept variable missing from the target fails only when it occurs
+    short = VarRegistry.make([("x", 0, 0), ("y", 0, 0)])
+    assert (x + 1).substitute({}, short) == LaurentPoly.var(short, "x") + 1
+    with pytest.raises(KeyError):
+        v("z").substitute({}, short)

@@ -117,7 +117,7 @@ def test_simple_pole_residue():
     # the residue of z/(z-1) at z = 1 is the w^-1 coefficient at z = 1 + w
     w = LaurentPoly.var(REG_ZW, "w")
     f = RatFunc(Z, [Z - ONE]).substitute({"z": ONE + w})
-    assert f.series_qt(0, "w").terms[(0, -1)] == 1
+    assert f.series_qt(0, "w").decoded()[(0, -1)] == 1
 
 
 def test_series_of_product_matches():
@@ -126,7 +126,7 @@ def test_series_of_product_matches():
     order = 6
     direct = f.series_qt(order, "z") * g.series_qt(order, "z")
     assert (f * g).series_qt(order, "z") == LaurentPoly(REG_ZW, {
-        e: c for e, c in direct.terms.items() if e[0] <= order})
+        e: c for e, c in direct.decoded().items() if e[0] <= order})
 
 
 def test_series_laurent_mode():
