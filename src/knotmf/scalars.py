@@ -16,6 +16,7 @@ Two classes:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -172,19 +173,20 @@ class Scalar:
 
 
 class RatFunc:
-    """Multivariate rational function: numerator and factored denominator.
+    """Multivariate rational function: num / prod(den), factors as given.
 
-    The denominator is a multiset of polynomial factors; cancellation only
-    ever tries exact division of the numerator by single factors, which is
-    all the localization sums need.
+    The constructor folds monomial factors into the numerator and rejects a
+    zero factor; it never divides.  ``cancelled`` is the one division pass,
+    and ``+`` and ``sum`` return cancelled results.  Cancellation only ever
+    tries exact division of the numerator by single factors, which is all
+    the localization sums need.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: Sequence[LaurentPoly] = (),
-                 cancel: bool = True):
+    def __init__(self, num: LaurentPoly, den: Sequence[LaurentPoly] = ()):
         self.num = num
-        self.den = [f for f in den if not (f.is_monomial())]
+        self.den = []
         for f in den:
             if f.is_zero():
                 raise ZeroDivisionError("zero denominator factor")
@@ -192,28 +194,30 @@ class RatFunc:
                 ((e, c),) = f.terms.items()
                 self.num = self.num * LaurentPoly._raw(
                     num.registry, {-e: coeff_div(1, c)}, f.span)
-        if cancel:
-            self._cancel()
-
-    def _cancel(self):
-        remaining = []
-        for f in sorted(self.den, key=lambda p: (len(p.terms), str(p))):
-            q = self.num.exact_div(f)
-            if q is not None:
-                self.num = q
             else:
-                remaining.append(f)
-        self.den = remaining
+                self.den.append(f)
+
+    def cancelled(self) -> "RatFunc":
+        """Divide out every factor that divides the numerator, shortest
+        factors first; the rest stay, in that order."""
+        num, den = self.num, []
+        for f in sorted(self.den, key=lambda p: (len(p.terms), str(p))):
+            q = num.exact_div(f)
+            if q is None:
+                den.append(f)
+            else:
+                num = q
+        return RatFunc(num, den)
 
     @staticmethod
     def sum(parts: "Sequence[RatFunc]") -> "RatFunc":
         """Balanced pairwise tree of ``__add__``, starting from the first
-        part rebuilt with cancellation, so every partial sum is cancelled
-        as it goes.  A left fold would scale each partial sum up to a
-        growing denominator union; the tree keeps both operands small."""
+        part cancelled, so every partial sum is cancelled as it goes.  A
+        left fold would scale each partial sum up to a growing denominator
+        union; the tree keeps both operands small."""
         if not parts:
             raise ValueError("empty sum")
-        level = [RatFunc(parts[0].num, parts[0].den), *parts[1:]]
+        level = [parts[0].cancelled(), *parts[1:]]
         while len(level) > 1:
             level = [level[i] + level[i + 1] if i + 1 < len(level)
                      else level[i] for i in range(0, len(level), 2)]
@@ -223,51 +227,40 @@ class RatFunc:
     def registry(self):
         return self.num.registry
 
+    def _lift(self, other):
+        """int, Fraction and LaurentPoly as RatFuncs; anything else as is."""
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly.const(self.registry, other)
+        return RatFunc(other) if isinstance(other, LaurentPoly) else other
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc(other if isinstance(other, LaurentPoly)
-                            else LaurentPoly.const(self.registry, other))
+        other = self._lift(other)
         # common denominator: multiset union
-        from collections import Counter
-        c1, c2 = Counter(map(_key, self.den)), Counter(map(_key, other.den))
-        lookup = {_key(f): f for f in self.den + other.den}
+        c1, c2 = Counter(self.den), Counter(other.den)
         union = c1 | c2
         n1, n2 = self.num, other.num
-        for k, m in union.items():
-            n1 = _scale(n1, lookup[k], m - c1.get(k, 0))
-            n2 = _scale(n2, lookup[k], m - c2.get(k, 0))
-        den = []
-        for k, m in union.items():
-            den.extend([lookup[k]] * m)
-        return RatFunc(n1 + n2, den)
+        for f, m in union.items():
+            n1 = _scale(n1, f, m - c1[f])
+            n2 = _scale(n2, f, m - c2[f])
+        return RatFunc(n1 + n2, list(union.elements())).cancelled()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, list(self.den))
+        return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc(other if isinstance(other, LaurentPoly)
-                            else LaurentPoly.const(self.registry, other))
-        return self + (-other)
+        return self + -self._lift(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num * other, list(self.den))
-        if isinstance(other, LaurentPoly):
-            return RatFunc(self.num * other, list(self.den))
-        return RatFunc(self.num * other.num, list(self.den) + list(other.den))
+        if isinstance(other, RatFunc):
+            return RatFunc(self.num * other.num, self.den + other.den)
+        return RatFunc(self.num * other, self.den)
 
     __rmul__ = __mul__
 
-    def divide_by(self, factor: LaurentPoly) -> "RatFunc":
-        return RatFunc(self.num, list(self.den) + [factor])
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RatFunc(other if isinstance(other, LaurentPoly)
-                            else LaurentPoly.const(self.registry, other))
+        other = self._lift(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         lhs = self.num
@@ -342,10 +335,6 @@ class RatFunc:
         return f"({self.num}) / ({' * '.join(f'({f})' for f in self.den)})"
 
     __repr__ = __str__
-
-
-def _key(p: LaurentPoly):
-    return tuple(sorted(p.terms.items()))
 
 
 def _scale(num: LaurentPoly, f: LaurentPoly, k: int) -> LaurentPoly:

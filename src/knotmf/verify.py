@@ -96,7 +96,8 @@ def localization_suite(max_entry: int = 4, series_order: int = 12) -> dict:
                 raise AssertionError(f"modes disagree at {vec}")
 
     def trace_crosscheck():
-        for b, n in [([], 1), ([1], 2), ([2], 2), ([3], 2), ([1, 1], 3)]:
+        for b, n in [([], 1), ([1], 2), ([2], 2), ([3], 2), ([1, 1], 3),
+                     ([1] * 5, 6)]:
             rep = homfly_crosscheck(b, n, series_order=series_order)
             if not rep["ok"]:
                 raise AssertionError(f"cross-check failed at {b}: {rep}")

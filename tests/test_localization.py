@@ -164,9 +164,11 @@ def test_markov_example_table():
 
 
 def test_homfly_crosscheck_family():
-    for b, n in [([], 1), ([1], 2), ([2], 2), ([3], 2)]:
+    # past the residue cap (4 strands) the character is the tableau sum
+    for b, n in [([], 1), ([1], 2), ([2], 2), ([3], 2),
+                 ([1, 1, 1, 1], 5), ([2, 1, 1, 2], 5)]:
         rep = homfly_crosscheck(b, n)
-        assert rep["ok"], rep
+        assert rep["ok"] and rep["series_ok"], rep
 
 
 def test_homfly_crosscheck_n3():
@@ -174,6 +176,15 @@ def test_homfly_crosscheck_n3():
     assert rep["ok"], rep
     rep = homfly_crosscheck([2, 1], 3)
     assert rep["ok"], rep
+
+
+def test_homfly_crosscheck_negative_control(monkeypatch):
+    """A wrong exponent-to-box map must fail every sample and the series."""
+    import knotmf.localization as loc
+    monkeypatch.setattr(loc, "braid_exponents_to_boxes", list)
+    rep = homfly_crosscheck([1, 2], 3)
+    assert not any(s["equal"] for s in rep["samples"]), rep
+    assert not rep["series_ok"] and not rep["ok"]
 
 
 def test_box_exponent_calibration():

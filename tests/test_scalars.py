@@ -92,7 +92,7 @@ def test_hash_agrees_with_eq():
     assert zero == 0 and hash(zero) == hash(0)
     assert Scalar.one() == 1 and hash(Scalar.one()) == hash(1)
     f = qa_poly({(1, 0): QQ(1), (0, 0): QQ(1)})
-    assert RatFunc(one * f, [f], cancel=False) == RatFunc(one)
+    assert RatFunc(one * f, [f]) == RatFunc(one)
     with pytest.raises(TypeError):
         hash(RatFunc(one))
 
@@ -166,13 +166,38 @@ def test_ratfunc_sum_and_cancel():
     total = RatFunc.sum([f, g])
     assert total == RatFunc(one)
     # a one-part sum is cancelled too
-    single = RatFunc.sum([RatFunc(f.den[0] * g.num, f.den, cancel=False)])
+    single = RatFunc.sum([RatFunc(f.den[0] * g.num, f.den)])
     assert single.den == [] and single.num == g.num
     # symmetric pair whose cross denominators cancel
     h1 = RatFunc(one, [one - q * t])
     h2 = RatFunc(one, [one - q])
     s = h1 + h2
     assert s == RatFunc(2 * one - q - q * t, [one - q, one - q * t])
+
+
+def test_ratfunc_cancels_only_when_asked():
+    """The constructor keeps its factors; ``cancelled``, ``+`` and
+    ``sum`` divide out the ones that divide the numerator."""
+    from knotmf.localization import Character
+    reg = VarRegistry.make([("Q", 0, 0), ("T", 0, 0), ("a", 0, 0)])
+    q = LaurentPoly.var(reg, "Q")
+    t = LaurentPoly.var(reg, "T")
+    one = LaurentPoly.const(reg, 1)
+    f, g, h = one - q, one + t, one - q * t
+    r = RatFunc(f * g, [f, h])
+    assert r.den == [f, h] and r.num == f * g
+    c = r.cancelled()
+    assert c.den == [h] and c.num == g
+    assert RatFunc(f * f * g, [f, f, f]).cancelled().den == [f]
+    for total, num in ((r + 0, g),
+                       (RatFunc.sum([r, RatFunc(f * h, [f, h])]), g + h)):
+        assert total.den == [h] and total.num == num
+    # unreduced() divides by (1 - Q)^n without cancelling, even where the
+    # reduced numerator holds 1 - Q
+    ch = Character(2, (1,), "residue", RatFunc(f * g, [h]), 2)
+    u = ch.unreduced()
+    assert u.den == [h, f, f] and u.num == f * g
+    assert u * f ** 2 == ch.reduced
 
 
 def test_scalar_evaluate():
