@@ -7,13 +7,15 @@ fixed-point character formulas with their residue evaluation.
 """
 
 from .braid import BraidWord, Permutation, parse_braid, jm_element, full_twist
-from .hecke import HeckeElement, from_braid, gen_image, homflypt, trace_ocneanu
+from .hecke import (HeckeElement, InvariantValue, from_braid, gen_image,
+                    homflypt, trace_ocneanu)
 from .ring import LaurentPoly, QuotientReducer, VarRegistry
-from .scalars import RatFunc, Scalar
+from .scalars import RatFunc
 
 __all__ = [
     "BraidWord", "Permutation", "parse_braid", "jm_element", "full_twist",
-    "HeckeElement", "from_braid", "gen_image", "homflypt", "trace_ocneanu",
+    "HeckeElement", "InvariantValue", "from_braid", "gen_image", "homflypt",
+    "trace_ocneanu",
     "LaurentPoly", "QuotientReducer", "VarRegistry",
-    "RatFunc", "Scalar",
+    "RatFunc",
 ]

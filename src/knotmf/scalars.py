@@ -1,14 +1,13 @@
-"""Scalar fields for the trace computation and rational functions.
+"""Exact scalars of the trace computation and rational functions.
 
-Two classes:
-
-* ``Scalar`` -- Laurent polynomials in (q, a) divided by a power of the atom
-  s = q - 1/q.  The closure invariant never has any other denominator, so
-  reduction is exact division by s, no general gcd.  Since
-  s = q^-1 (q - 1)(q + 1), s divides a numerator iff it vanishes at q = 1
-  and q = -1 in every a-slice; ``reduce`` reads that from coefficient sums
-  and divides only when it holds, so the reduced form is canonical and no
-  division fails.
+* ``s_reduce`` -- the reduction of a closure value num / s^k, num a Laurent
+  polynomial in (q, a) and s = q - 1/q the atom.  The closure invariant
+  (``hecke.InvariantValue``) never has any other denominator, so reduction
+  is exact division by s, no general gcd.  Since s = q^-1 (q - 1)(q + 1),
+  s divides a numerator iff it vanishes at q = 1 and q = -1 in every
+  a-slice; ``_s_divides`` reads that from coefficient sums and
+  ``s_reduce`` divides only when it holds, so the reduced form is
+  canonical and no division fails.
 * ``RatFunc`` -- multivariate rational functions with a factored denominator
   list, used by the localization formulas, with exact truncated series
   expansion (``series_qt``).
@@ -23,7 +22,7 @@ from typing import Mapping, Sequence
 from .ring import (KEY_BITS, KEY_HALF, KEY_MASK, LaurentPoly, VarRegistry, QQ,
                    coeff_div)
 
-# Registry underlying every Scalar: q carries the q-grading, a the a-grading.
+# Registry of every closure value: q carries the q-grading, a the a-grading.
 REG_QA = VarRegistry.make([("q", 1, 0), ("a", 0, 0)])
 
 
@@ -50,126 +49,20 @@ def _s_divides(num: LaurentPoly) -> bool:
     return not any(sums.values())
 
 
-class Scalar:
-    """num / s^s_exp with num a Laurent polynomial in q, a."""
+def s_reduce(num: LaurentPoly, k: int) -> tuple[LaurentPoly, int]:
+    """Cancel every power of s that divides num / s^k; returns the reduced
+    (numerator, exponent).
 
-    __slots__ = ("num", "s_exp")
-
-    # no u = 1 - a^-2 denominator exists; kept because perfbench/oracle.py
-    # reads ``value.u_exp`` of every closure invariant
-    u_exp = 0
-
-    def __init__(self, num: LaurentPoly, s_exp: int = 0):
-        if num.registry != REG_QA:
-            raise ValueError("Scalar numerators live in the (q, a) registry")
-        if s_exp < 0:
-            raise ValueError("the s exponent is nonnegative")
-        self.num = num
-        self.s_exp = s_exp
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def from_int(c) -> "Scalar":
-        return Scalar(LaurentPoly.const(REG_QA, c))
-
-    @staticmethod
-    def one() -> "Scalar":
-        return Scalar.from_int(1)
-
-    @staticmethod
-    def loop_value() -> "Scalar":
-        """(a - a^-1)/(q - q^-1), the unknot value."""
-        return Scalar(qa_poly({(0, 1): QQ(1), (0, -1): QQ(-1)}), 1)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_int(other)
-        se = max(self.s_exp, other.s_exp)
-        num = (self.num * S_ATOM ** (se - self.s_exp)
-               + other.num * S_ATOM ** (se - other.s_exp))
-        return Scalar(num, se).reduce()
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar(-self.num, self.s_exp)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_int(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Scalar(self.num * other, self.s_exp)
-        if isinstance(other, LaurentPoly):
-            other = Scalar(other)
-        return Scalar(self.num * other.num, self.s_exp + other.s_exp).reduce()
-
-    __rmul__ = __mul__
-
-    def mul_monomial(self, q_exp: int = 0, a_exp: int = 0, coeff=1) -> "Scalar":
-        return Scalar(self.num * qa_poly({(q_exp, a_exp): QQ(coeff)}),
-                      self.s_exp)
-
-    # -- normal form -------------------------------------------------------
-
-    def reduce(self) -> "Scalar":
-        """Cancel every power of s that divides the numerator.
-
-        ``_s_divides`` decides each step from coefficient sums, and only
-        then does ``exact_div`` divide, so the result is the canonical form
-        (equal scalars reduce to the same numerator and exponent) and no
-        division fails.
-        """
-        num, se = self.num, self.s_exp
-        while se and _s_divides(num):
-            num = num.exact_div(S_ATOM)
-            if num is None:
-                raise AssertionError("s vanishes at q = +-1 but does not "
-                                     "divide")
-            se -= 1
-        return Scalar(num, se)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_int(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        # cross-multiplied comparison, independent of reduction state
-        return (self.num * S_ATOM ** other.s_exp
-                == other.num * S_ATOM ** self.s_exp)
-
-    def __hash__(self):
-        r = self.reduce()
-        if not r.s_exp:
-            return hash(r.num)  # so constants hash as their value
-        return hash((r.num, r.s_exp))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def evaluate(self, q_val: Fraction):
-        """Specialize q; returns a LaurentPoly in a over Q."""
-        q_val = QQ(q_val)
-        s_val = q_val - 1 / q_val
-        if s_val == 0:
-            raise ZeroDivisionError("q sample is a zero of the s atom")
-        num = self.num.evaluate({"q": q_val})
-        if self.s_exp:
-            num = num * (QQ(1) / s_val ** self.s_exp)
-        return num
-
-    def __str__(self):
-        if not self.s_exp:
-            return str(self.num)
-        power = f"^{self.s_exp}" if self.s_exp > 1 else ""
-        return f"({self.num}) / ((q-q^-1){power})"
-
-    __repr__ = __str__
+    ``_s_divides`` decides each step from coefficient sums, and only then
+    does ``exact_div`` divide, so the result is canonical (equal values
+    reduce to the same pair) and no division fails.
+    """
+    while k and _s_divides(num):
+        num = num.exact_div(S_ATOM)
+        if num is None:
+            raise AssertionError("s vanishes at q = +-1 but does not divide")
+        k -= 1
+    return num, k
 
 
 class RatFunc:

@@ -10,10 +10,10 @@ import time
 import pytest
 
 from knotmf.braid import BraidWord, jm_element
-from knotmf.hecke import (HeckeElement, from_braid, gen_image, homflypt,
-                          qpoly)
+from knotmf.hecke import (HeckeElement, InvariantValue, from_braid, gen_image,
+                          homflypt, qpoly)
 from knotmf.ring import LaurentPoly, QQ, VarRegistry
-from knotmf.scalars import Scalar
+from knotmf.scalars import qa_poly
 from knotmf import mf
 from knotmf.localization import (homfly_crosscheck, markov_example_sigma1,
                                  partitions_of, superpoly_jm, syt_enumerate)
@@ -32,7 +32,8 @@ def test_criterion_01_normalization():
     homflypt(BraidWord(1, ()))          # warm the caches
     start = time.perf_counter()
     value = homflypt(BraidWord(1, ()))
-    assert value.value == Scalar.loop_value()
+    # (a - a^-1)/(q - q^-1)
+    assert value == InvariantValue(qa_poly({(0, 1): QQ(1), (0, -1): QQ(-1)}), 1)
     _report(1, "unknot normalization", 0.001, start)
 
 

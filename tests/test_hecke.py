@@ -12,8 +12,12 @@ from knotmf.hecke import (HeckeElement, InvariantValue, _trace_basis,
                           from_braid, gen_image, homflypt, qpoly,
                           trace_ocneanu)
 from knotmf.ring import QQ, LaurentPoly
-from knotmf.scalars import REG_QA, S_ATOM, Scalar, qa_poly
-from knotmf.verify import random_braid
+from knotmf.scalars import REG_QA, S_ATOM, qa_poly
+from knotmf.verify import _skein_holds, random_braid
+
+# numerator of the loop value D = (a - a^-1)/(q - q^-1)
+LOOP = qa_poly({(0, 1): QQ(1), (0, -1): QQ(-1)})
+A = LaurentPoly.var(REG_QA, "a")
 
 
 def test_gen_image_examples():
@@ -157,15 +161,14 @@ def test_homflypt_is_loop_values_times_trace():
     """The single-reduce homflypt equals D^n tr(b) a^-writhe built from the
     trace's z-expansion with D z = a (so D^n z^k = D^(n-k) a^k), down to
     the printed canonical form."""
-    d = Scalar.loop_value()
     for b in _homflypt_inputs():
-        value = Scalar.from_int(0)
+        # D^(n-k) = (a - a^-1)^(n-k) s^k / s^n
+        n = b.strands
+        num = LaurentPoly.zero(REG_QA)
         for k, p in enumerate(trace_ocneanu(from_braid(b))):
-            term = Scalar(p).mul_monomial(a_exp=k - b.writhe())
-            for _ in range(b.strands - k):
-                term = d * term
-            value = value + term
-        old = InvariantValue(value)
+            num = num + (p * LOOP ** (n - k) * S_ATOM ** k
+                         * A ** (k - b.writhe()))
+        old = InvariantValue(num, n)
         p = homflypt(b)
         assert p == old
         assert str(p) == str(old)
@@ -229,24 +232,24 @@ def test_trace_is_central_on_h3():
 
 def test_homflypt_golden_values():
     unknot = homflypt(BraidWord(1, ()))
-    assert unknot.value == Scalar.loop_value()
+    assert unknot == InvariantValue(LOOP, 1)
     unlink2 = homflypt(BraidWord(2, ()))
-    assert unlink2.value == Scalar.loop_value() * Scalar.loop_value()
+    assert unlink2 == InvariantValue(LOOP * LOOP, 2)
     # trefoil: hand computation D^2 a^-3 (s + (1 + s^2) z) reduced, with
-    # D z = a: D^2 a^-3 s + D a^-2 (1 + s^2)
+    # D z = a: D^2 a^-3 s + D a^-2 (1 + s^2), over s^2
     trefoil = homflypt(parse_braid("1 1 1"))
-    d, s = Scalar.loop_value(), Scalar(S_ATOM)
-    byhand = ((d * d * s).mul_monomial(a_exp=-3)
-              + (d * (Scalar.one() + s * s)).mul_monomial(a_exp=-2))
-    assert trefoil.value == byhand.reduce()
+    one = LaurentPoly.const(REG_QA, 1)
+    byhand = (LOOP * LOOP * A ** -3 * S_ATOM
+              + LOOP * A ** -2 * (one + S_ATOM * S_ATOM) * S_ATOM)
+    assert trefoil == InvariantValue(byhand, 2)
     # equals D * (a^-2 q^2 + a^-2 q^-2 - a^-4)
     poly = qa_poly({(2, -2): QQ(1), (-2, -2): QQ(1), (0, -4): QQ(-1)})
-    assert trefoil.value == d * Scalar(poly)
+    assert trefoil == InvariantValue(LOOP * poly, 1)
 
 
 def test_invariant_reduction_contract():
     p = homflypt(parse_braid("1 1"))
-    assert p.value.s_exp == parse_braid("1 1").component_count()
+    assert p.s_exp == parse_braid("1 1").component_count()
     coeffs = p.a_coefficients()
     assert all(set(c) == {"a_exp", "coeff_num", "denom_s_exp"}
                for c in coeffs)
@@ -277,9 +280,38 @@ def test_skein_relation_exact():
         i = rng.randint(1, b.strands - 1)
         plus = BraidWord(b.strands, b.letters[:pos] + (i,) + b.letters[pos:])
         minus = BraidWord(b.strands, b.letters[:pos] + (-i,) + b.letters[pos:])
-        lhs = (homflypt(plus).value.mul_monomial(a_exp=1)
-               - homflypt(minus).value.mul_monomial(a_exp=-1))
-        assert lhs == homflypt(b).value * Scalar(S_ATOM)
+        p, m, z = homflypt(plus), homflypt(minus), homflypt(b)
+        # a P_+ - a^-1 P_- = s P_0, cross-multiplied by s^(k_+ + k_- + k_0)
+        k = p.s_exp + m.s_exp + z.s_exp
+        lhs = (A * p.num * S_ATOM ** (k - p.s_exp)
+               - A ** -1 * m.num * S_ATOM ** (k - m.s_exp))
+        assert lhs == z.num * S_ATOM ** (k + 1 - z.s_exp)
+
+
+def test_skein_holds_negative_control():
+    """``verify._skein_holds`` accepts the real skein triple and rejects it
+    with P_+ and P_- swapped, or with the factor s on P_0 dropped.  The
+    swap leaves the relation intact exactly when P_+ = P_- (at a nugatory
+    crossing, for instance), so it is checked on the other cases, which
+    must be at least half of the sample."""
+    rng = random.Random(13)
+    swapped = 0
+    for _ in range(20):
+        b = random_braid(rng)
+        pos = rng.randint(0, len(b))
+        i = rng.randint(1, b.strands - 1)
+        plus, minus = (homflypt(BraidWord(b.strands, b.letters[:pos] + (g,)
+                                          + b.letters[pos:]))
+                       for g in (i, -i))
+        zero = homflypt(b)
+        assert _skein_holds(plus, minus, zero)
+        if plus != minus:
+            swapped += 1
+            assert not _skein_holds(minus, plus, zero)
+        # P_0 / s in place of P_0: the helper then compares with P_0 itself
+        assert not _skein_holds(plus, minus,
+                                InvariantValue(zero.num, zero.s_exp + 1))
+    assert swapped >= 10
 
 
 def test_jm_images_commute():
@@ -292,8 +324,8 @@ def test_jm_images_commute():
 def test_torus_knot_alexander_specialization():
     """T(3,4) at a = 1 reproduces its Alexander polynomial exactly."""
     p = homflypt(parse_braid("1 2 1 2 1 2 1 2", strands=3))
-    reduced = p.value.num.exact_div(Scalar.loop_value().num)
-    assert reduced is not None and p.value.s_exp == 1
+    reduced = p.num.exact_div(LOOP)
+    assert reduced is not None and p.s_exp == 1
     at_a1 = reduced.substitute({"a": qa_poly({(0, 0): QQ(1)})})
     expected = qa_poly({(6, 0): QQ(1), (4, 0): QQ(-1), (0, 0): QQ(1),
                         (-4, 0): QQ(-1), (-6, 0): QQ(1)})
@@ -303,7 +335,7 @@ def test_torus_knot_alexander_specialization():
 def test_trefoil_jones_specialization():
     """The right trefoil at a = q^-2 is its Jones polynomial in t = q^-2."""
     p = homflypt(parse_braid("1 1 1"))
-    reduced = p.value.num.exact_div(Scalar.loop_value().num)
+    reduced = p.num.exact_div(LOOP)
     assert reduced is not None
     at_jones = reduced.substitute({"a": qa_poly({(-2, 0): QQ(1)})})
     expected = qa_poly({(6, 0): QQ(1), (2, 0): QQ(1), (8, 0): QQ(-1)})
@@ -311,13 +343,15 @@ def test_trefoil_jones_specialization():
 
 
 def test_connected_sum_multiplicativity():
-    d = Scalar.loop_value()
-    t = homflypt(parse_braid("1 1 1")).value
-    granny = homflypt(parse_braid("1 1 1 2 2 2", strands=3)).value
-    assert granny * d == t * t
-    square = homflypt(parse_braid("1 1 1 -2 -2 -2", strands=3)).value
-    mirrored = homflypt(parse_braid("-1 -1 -1")).value
-    assert square * d == t * mirrored
+    def times(x, y_num, y_s_exp):
+        return InvariantValue(x.num * y_num, x.s_exp + y_s_exp)
+
+    t = homflypt(parse_braid("1 1 1"))
+    granny = homflypt(parse_braid("1 1 1 2 2 2", strands=3))
+    assert times(granny, LOOP, 1) == times(t, t.num, t.s_exp)
+    square = homflypt(parse_braid("1 1 1 -2 -2 -2", strands=3))
+    mirrored = homflypt(parse_braid("-1 -1 -1"))
+    assert times(square, LOOP, 1) == times(t, mirrored.num, mirrored.s_exp)
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

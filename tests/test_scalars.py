@@ -1,40 +1,44 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotmf.braid import BraidWord
+from knotmf.hecke import InvariantValue, homflypt
 from knotmf.ring import LaurentPoly, QQ, VarRegistry
-from knotmf.scalars import (REG_QA, RatFunc, S_ATOM, Scalar, _s_divides,
-                            qa_poly)
+from knotmf.scalars import (REG_QA, RatFunc, S_ATOM, _s_divides, qa_poly,
+                            s_reduce)
+
+# numerator of the loop value D = (a - a^-1)/(q - q^-1)
+LOOP = qa_poly({(0, 1): QQ(1), (0, -1): QQ(-1)})
 
 
 def test_loop_value_times_z_is_a():
     # D z = a with z = s/(1 - a^-2), i.e. D s = a (1 - a^-2)
-    d = Scalar.loop_value()
     a_u = qa_poly({(0, 1): QQ(1)}) * qa_poly({(0, 0): QQ(1), (0, -2): QQ(-1)})
-    r = d * Scalar(S_ATOM)
-    assert r.s_exp == 0 and r == Scalar(a_u)
+    r = InvariantValue(LOOP * S_ATOM, 1)
+    assert r.s_exp == 0 and r == InvariantValue(a_u)
 
 
 def test_reduce_cancels_atoms():
     p = qa_poly({(2, 0): QQ(1), (0, 0): QQ(-3)})
-    s = Scalar(p * S_ATOM, 1)
-    r = s.reduce()
-    assert r.s_exp == 0 and r.num == p
-    assert Scalar(p * S_ATOM, 1) == Scalar(p)  # cross-multiplied equality
+    num, k = s_reduce(p * S_ATOM, 1)
+    assert k == 0 and num == p
+    assert InvariantValue(p * S_ATOM, 1) == InvariantValue(p)
 
 
 def test_normalizing_value():
-    d = Scalar.loop_value()
+    d = homflypt(BraidWord(1, ()))
     assert d.s_exp == 1
-    assert d.num == qa_poly({(0, 1): QQ(1), (0, -1): QQ(-1)})
+    assert d.num == LOOP
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 4))
 def test_reduce_preserves_value(c1, c2, i):
     num = qa_poly({(1, 0): QQ(c1), (0, 2): QQ(c2)})
-    s = Scalar(num * S_ATOM ** i, i)
-    assert s.reduce() == s
-    assert s.reduce().reduce() == s.reduce()
+    r = InvariantValue(num * S_ATOM ** i, i)
+    # the same value, cross-multiplied, and already reduced
+    assert r.num * S_ATOM ** i == num * S_ATOM ** i * S_ATOM ** r.s_exp
+    assert s_reduce(r.num, r.s_exp) == (r.num, r.s_exp)
 
 
 @st.composite
@@ -49,11 +53,11 @@ def qa_polys(draw, max_terms=5):
 @settings(max_examples=200, deadline=None)
 @given(qa_polys(), st.integers(0, 6))
 def test_reduce_is_canonical(p, i):
-    r = Scalar(p * S_ATOM ** i, i).reduce()
-    r0 = Scalar(p).reduce()
-    assert r.num == r0.num
+    r = InvariantValue(p * S_ATOM ** i, i)
+    r0 = InvariantValue(p)
+    assert r.num == r0.num == p
     assert r.s_exp == r0.s_exp == 0
-    assert hash(r) == hash(Scalar(p))
+    assert hash(r) == hash(r0)
 
 
 # (factor, whether every multiple of it is a multiple of s)
@@ -67,7 +71,7 @@ Q_FACTORS = [(qa_poly({(0, 0): QQ(1)}), False), (S_ATOM, True),
 @settings(max_examples=300, deadline=None)
 @given(qa_polys(), st.sampled_from(Q_FACTORS))
 def test_s_divides_matches_exact_div(p, case):
-    """The vanishing test at q = +-1 that ``Scalar.reduce`` uses agrees
+    """The vanishing test at q = +-1 that ``s_reduce`` uses agrees
     with exact division by s, on random polynomials and on multiples of
     s, q - 1 and q + 1."""
     factor, s_multiple = case
@@ -77,20 +81,39 @@ def test_s_divides_matches_exact_div(p, case):
         assert _s_divides(f)
 
 
+@settings(max_examples=200, deadline=None)
+@given(qa_polys(), st.sampled_from([f for f, _ in Q_FACTORS]),
+       st.integers(0, 4), st.integers(0, 6), qa_polys(), st.integers(0, 6))
+def test_invariant_value_canonical_contract(p, factor, i, j, p2, k2):
+    """InvariantValue(p s^i, i + j) is InvariantValue(p, j): the same pair
+    and hash; and == agrees with cross-multiplied equality."""
+    p = p * factor  # multiples of s, q - 1, q + 1, ... reduce differently
+    x, y = InvariantValue(p * S_ATOM ** i, i + j), InvariantValue(p, j)
+    assert (x.num, x.s_exp) == (y.num, y.s_exp)
+    assert hash(x) == hash(y) and x == y
+    z = InvariantValue(p2, k2)
+    assert (y == z) == (p * S_ATOM ** k2 == p2 * S_ATOM ** j)
+    assert y != z or hash(y) == hash(z)
+
+
 def test_reduce_long_quotient():
     # q^1200 - 1 = (q^2 - 1)(q^1198 + ... + 1): a 600-term quotient
-    s = Scalar(qa_poly({(1200, 0): QQ(1), (0, 0): QQ(-1)}), 1)
-    r = s.reduce()
-    assert r.s_exp == 0
-    assert len(r.num.terms) == 600
-    assert r == s and hash(r) == hash(s)
+    f = qa_poly({(1200, 0): QQ(1), (0, 0): QQ(-1)})
+    num, k = s_reduce(f, 1)
+    assert k == 0
+    assert len(num.terms) == 600 and num * S_ATOM == f
+    r = InvariantValue(f, 1)
+    assert (r.num, r.s_exp) == (num, 0)
+    assert r == InvariantValue(num) and hash(r) == hash(InvariantValue(num))
 
 
 def test_hash_agrees_with_eq():
     one, zero = LaurentPoly.const(REG_QA, 1), LaurentPoly.zero(REG_QA)
     assert one == 1 and hash(one) == hash(1)
     assert zero == 0 and hash(zero) == hash(0)
-    assert Scalar.one() == 1 and hash(Scalar.one()) == hash(1)
+    v1 = InvariantValue(one)
+    assert InvariantValue(S_ATOM, 1) == v1
+    assert hash(InvariantValue(S_ATOM, 1)) == hash(v1)
     f = qa_poly({(1, 0): QQ(1), (0, 0): QQ(1)})
     assert RatFunc(one * f, [f]) == RatFunc(one)
     with pytest.raises(TypeError):
@@ -201,7 +224,7 @@ def test_ratfunc_cancels_only_when_asked():
 
 
 def test_scalar_evaluate():
-    d = Scalar.loop_value()
+    d = InvariantValue(LOOP, 1)
     val = d.evaluate(QQ(2))
     # (a - 1/a)/(2 - 1/2) at q = 2
     expected = LaurentPoly(REG_QA, {(0, 1): QQ(2, 3), (0, -1): QQ(-2, 3)})
