@@ -13,17 +13,20 @@ two ways and cross-checked:
   consumes at each box; the rest cancels by the same ``Term.cancel_pairs``
   as the residue chains (matched numerator/denominator pairs).
 
+Both modes run up to ``STRAND_CAP`` boxes.  The cross-check against the
+Markov trace (``homfly_crosscheck``) always reads the residue sum.
 Everything is exact: coefficients are big rationals, the assembled character
 is a multivariate rational function in (Q, T, a).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import LaurentPoly, ResourceLimit, VarRegistry, QQ
-from .scalars import S_ATOM, RatFunc
+from .scalars import REG_QA, S_ATOM, RatFunc
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +70,6 @@ class Partition:
 
     def syt_count(self) -> int:
         """Hook length formula n! / prod(hooks)."""
-        import math
         total = math.factorial(self.n)
         for h in self.hook_lengths():
             total, rem = divmod(total, h)
@@ -394,8 +396,7 @@ def syt_term(ctx: ResidueContext, tab: StandardTableau,
 # Characters
 
 
-RESIDUE_STRAND_CAP = 4
-SYT_STRAND_CAP = 7
+STRAND_CAP = 7
 
 
 @dataclass
@@ -406,7 +407,6 @@ class Character:
     exponents: tuple[int, ...]
     mode: str
     reduced: RatFunc                 # residue sum, free factor not included
-    free_factor_power: int           # power of 1/(1-Q)
     truncation_order: int = 12
 
     def registry(self):
@@ -415,8 +415,7 @@ class Character:
     def unreduced(self) -> RatFunc:
         reg = self.registry()
         free = LaurentPoly.const(reg, 1) - LaurentPoly.var(reg, "Q")
-        return RatFunc(self.reduced.num,
-                       self.reduced.den + [free] * self.free_factor_power)
+        return RatFunc(self.reduced.num, self.reduced.den + [free] * self.n)
 
     def series(self, order: int | None = None) -> LaurentPoly:
         order = order if order is not None else self.truncation_order
@@ -470,14 +469,13 @@ def superpoly_jm(jm_exponents: list[int], mode: str = "residue",
                  order: int = 12) -> Character:
     """Character of the closure of the JM power braid delta^b.
 
-    mode='residue' is the ground-truth iterated residue sum (n <= 4);
-    mode='syt' evaluates the closed tableau sum (n <= 7).  The two agree
-    exactly; `verify localization` asserts it.
+    mode='residue' is the ground-truth iterated residue sum; mode='syt'
+    evaluates the closed tableau sum.  Both stop at ``STRAND_CAP`` boxes
+    (n <= 7).  The two agree exactly; `verify localization` asserts it.
     """
     n = len(jm_exponents) + 1
-    cap = RESIDUE_STRAND_CAP if mode == "residue" else SYT_STRAND_CAP
-    if n > cap:
-        raise ResourceLimit(f"{n} boxes exceeds the {mode} cap {cap}")
+    if n > STRAND_CAP:
+        raise ResourceLimit(f"{n} boxes exceeds the cap {STRAND_CAP}")
     ctx = ResidueContext(n)
     exps = _exponent_vector(jm_exponents, n)
     if mode == "residue":
@@ -489,7 +487,7 @@ def superpoly_jm(jm_exponents: list[int], mode: str = "residue",
         raise ValueError("mode must be 'residue' or 'syt'")
 
     total = RatFunc.sum([term_to_ratfunc(ctx, t) for t in terms])
-    return Character(n, tuple(jm_exponents), mode, total, n, order)
+    return Character(n, tuple(jm_exponents), mode, total, order)
 
 
 def zeta(x: LaurentPoly) -> RatFunc:
@@ -508,14 +506,14 @@ def zeta(x: LaurentPoly) -> RatFunc:
     return RatFunc(num, [one - q_ * x, one - t_ * x])
 
 
-def residue_pushforward(exponent: int, n: int = 1) -> RatFunc:
+def residue_pushforward(exponent: int) -> RatFunc:
     """Single-level push-forward of z^b (1 + a/z): the n = 1 character sum.
 
     Exposed for the one-variable examples; the full iteration is
     superpoly_jm.
     """
-    ctx = ResidueContext(n)
-    terms = ctx.evaluate([exponent] + [0] * (n - 1))
+    ctx = ResidueContext(1)
+    terms = ctx.evaluate([exponent])
     return RatFunc.sum([term_to_ratfunc(ctx, t) for t in terms])
 
 
@@ -603,64 +601,25 @@ def braid_exponents_to_boxes(jm_exponents: list[int]) -> list[int]:
     return list(reversed(jm_exponents))
 
 
-def character_for_braid(jm_exponents: list[int], mode: str = "residue",
-                        order: int = 12) -> Character:
-    return superpoly_jm(braid_exponents_to_boxes(jm_exponents), mode, order)
+Q_SAMPLES = (QQ(3, 5), QQ(2, 7), QQ(5, 9), QQ(7, 4), QQ(4, 11))
+SERIES_ORDER = 12
 
 
-def _series_by_a(num: LaurentPoly, den: LaurentPoly, var: str,
-                 order: int) -> dict[int, dict[int, Fraction]]:
-    """{a_exp: series in ``var``} of num/den up to ``var``-degree ``order``.
-
-    a is a coefficient; the lowest ``var``-degree part of den must be one
-    monomial (see ``RatFunc.series_qt``).
-    """
-    iv = num.registry.index(var)
-    series = RatFunc(num, [den]).series_qt(order, var)
-    return {a_exp: {e[iv]: c for e, c in poly.decoded().items()}
-            for a_exp, poly in series.coefficients_in("a").items()}
-
-
-def _char_side_series(rf: RatFunc, n: int, writhe: int,
-                      order: int) -> dict[int, dict[int, Fraction]]:
-    """{a_exp: q-series} of the calibrated anti-diagonal specialization
-    ``rf`` (T = Q^-1, a -> -a^-2 already made)."""
-    den = LaurentPoly.const(rf.registry, 1)
-    for f in rf.den:
-        den = den * f
-    out: dict[int, dict[int, Fraction]] = {}
-    sign = QQ(-1) ** n
-    for a_exp, q_series in _series_by_a(rf.num, den, "Q", order).items():
-        shifted: dict[int, Fraction] = {}
-        for k, c in q_series.items():
-            # Q-degree k is q-degree 2k; calibration adds q^n
-            deg = 2 * k + n
-            if deg <= order:
-                shifted[deg] = shifted.get(deg, QQ(0)) + c * sign
-        out[a_exp + n - writhe] = {k: v for k, v in shifted.items() if v}
-    return out
-
-
-def homfly_crosscheck(jm_exponents: list[int], n: int,
-                      q_samples: list[Fraction] | None = None,
-                      series_order: int = 12) -> dict:
+def homfly_crosscheck(jm_exponents: list[int], n: int) -> dict:
     """Criterion: the anti-diagonal character equals the closure invariant.
 
-    Exact at rational q sample points and as a truncated q-series; returns a
-    report dict with a boolean 'ok'.  Above ``RESIDUE_STRAND_CAP`` strands
-    the character comes from the tableau sum, which the residue sum checks
-    up to that cap.
+    The character is the residue sum at every size.  Exact at the rational
+    q points ``Q_SAMPLES`` and as a q-series to degree ``SERIES_ORDER``,
+    both sides one ``LaurentPoly`` in (q, a); returns a report dict with a
+    boolean 'ok'.
     """
     from .braid import jm_power_braid
     from .hecke import homflypt
 
-    if q_samples is None:
-        q_samples = [QQ(3, 5), QQ(2, 7), QQ(5, 9), QQ(7, 4), QQ(4, 11)]
     braid = jm_power_braid(jm_exponents, n)
     w = braid.writhe()
     invariant = homflypt(braid)
-    mode = "syt" if n > RESIDUE_STRAND_CAP else "residue"
-    ch = character_for_braid(jm_exponents, mode)
+    ch = superpoly_jm(braid_exponents_to_boxes(jm_exponents))
     reg = ch.registry()
     spec = ch.unreduced().substitute({
         "T": LaurentPoly.var(reg, "Q", -1),
@@ -668,24 +627,28 @@ def homfly_crosscheck(jm_exponents: list[int], n: int,
     report = {"jm": list(jm_exponents), "n": n, "writhe": w,
               "samples": [], "ok": True}
 
-    for q0 in q_samples:
-        at = spec.substitute({"Q": LaurentPoly.const(reg, QQ(q0) ** 2)})
+    for q0 in Q_SAMPLES:
+        at = spec.substitute({"Q": LaurentPoly.const(reg, q0 ** 2)})
         # the invariant at q0 is a polynomial in a alone
         lhs = invariant.evaluate(q0).substitute({}, reg)
         for f in at.den:
             lhs = lhs * f
-        cal = LaurentPoly.monomial(reg, {"a": n - w},
-                                   QQ(-1) ** n * QQ(q0) ** n)
+        cal = LaurentPoly.monomial(reg, {"a": n - w}, QQ(-1) ** n * q0 ** n)
         same = lhs == at.num * cal
         report["samples"].append({"q": str(q0), "equal": same})
         report["ok"] = report["ok"] and same
 
-    p_series = _series_by_a(invariant.num, S_ATOM ** invariant.s_exp, "q",
-                            series_order)
-    c_series = _char_side_series(spec, n, w, series_order)
-    trimmed_p = {a: s for a, s in p_series.items() if s}
-    trimmed_c = {a: s for a, s in c_series.items() if s}
-    series_ok = trimmed_p == trimmed_c
+    p_series = RatFunc(invariant.num, [S_ATOM ** invariant.s_exp]).series_qt(
+        SERIES_ORDER, "q")
+    # Q = q^2 and the calibration's q^n: Q-degree k lands on q-degree
+    # 2k + n, so the Q-series stops where that passes SERIES_ORDER.  One
+    # denominator factor expands faster than one geometric series each.
+    den = math.prod(spec.den, start=LaurentPoly.const(reg, 1))
+    c_series = RatFunc(spec.num, [den]).series_qt((SERIES_ORDER - n) // 2, "Q")
+    c_series = c_series.substitute({"Q": LaurentPoly.var(REG_QA, "q", 2)},
+                                   REG_QA)
+    shift = LaurentPoly.monomial(REG_QA, {"q": n, "a": n - w}, QQ(-1) ** n)
+    series_ok = p_series == c_series * shift
     report["series_ok"] = series_ok
     report["ok"] = report["ok"] and series_ok
     return report

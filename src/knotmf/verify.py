@@ -72,7 +72,7 @@ def skein_suite(samples: int = 50, seed: int = 11) -> dict:
             "failures": failures}
 
 
-def localization_suite(max_entry: int = 4, series_order: int = 12) -> dict:
+def localization_suite() -> dict:
     """Residue/tableau agreement, tableau counts, and the trace cross-check."""
     steps = []
 
@@ -93,11 +93,11 @@ def localization_suite(max_entry: int = 4, series_order: int = 12) -> dict:
                     shape.syt_count()
 
     def mode_agreement():
-        vectors = [[b] for b in range(1, max_entry + 1)]
-        vectors += [[i, j] for i in range(1, max_entry + 1)
-                    for j in range(1, max_entry + 1)]
-        # four boxes, within RESIDUE_STRAND_CAP
-        vectors += [[1, 1, 1], [1, 2, 2], [2, 1, 2], [2, 2, 1]]
+        vectors = [[b] for b in range(1, 5)]
+        vectors += [[i, j] for i in range(1, 5) for j in range(1, 5)]
+        # four and five boxes; the 5-box pair is the tier-1 golden's
+        vectors += [[1, 1, 1], [1, 2, 2], [2, 1, 2], [2, 2, 1],
+                    [1, 1, 1, 1], [2, 1, 1, 2]]
         for vec in vectors:
             r = superpoly_jm(vec, mode="residue")
             s = superpoly_jm(vec, mode="syt")
@@ -107,7 +107,7 @@ def localization_suite(max_entry: int = 4, series_order: int = 12) -> dict:
     def trace_crosscheck():
         for b, n in [([], 1), ([1], 2), ([2], 2), ([3], 2), ([1, 1], 3),
                      ([1] * 5, 6)]:
-            rep = homfly_crosscheck(b, n, series_order=series_order)
+            rep = homfly_crosscheck(b, n)
             if not rep["ok"]:
                 raise AssertionError(f"cross-check failed at {b}: {rep}")
 

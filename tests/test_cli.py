@@ -56,7 +56,7 @@ def test_hecke_command(capsys):
 
 
 def test_superpoly_guard(capsys):
-    assert main(["superpoly", "--jm", "1,1,1,1,1"]) == 3
+    assert main(["superpoly", "--jm", "1,1,1,1,1,1,1"]) == 3
     assert main(["superpoly", "--jm", "1,1,1,1,1,1,1", "--mode", "syt"]) == 3
     assert main(["superpoly", "--jm", "1,x"]) == 2
 

@@ -1,9 +1,11 @@
+import itertools
 import os
 import pathlib
+import random
 
 import pytest
 
-from knotmf.localization import (Partition, ResidueContext, _series_by_a,
+from knotmf.localization import (Partition, ResidueContext,
                                  braid_exponents_to_boxes,
                                  chain_box_values, chain_is_syt,
                                  full_twist_shift_check,
@@ -164,7 +166,7 @@ def test_markov_example_table():
 
 
 def test_homfly_crosscheck_family():
-    # past the residue cap (4 strands) the character is the tableau sum
+    # the character is the residue sum at every size, 5 strands included
     for b, n in [([], 1), ([1], 2), ([2], 2), ([3], 2),
                  ([1, 1, 1, 1], 5), ([2, 1, 1, 2], 5)]:
         rep = homfly_crosscheck(b, n)
@@ -199,21 +201,20 @@ def test_character_json():
 
 
 def test_guard_caps():
-    with pytest.raises(ResourceLimit):
-        superpoly_jm([1] * 5, mode="residue")
-    with pytest.raises(ResourceLimit):
-        superpoly_jm([1] * 7, mode="syt")
+    for mode in ("residue", "syt"):
+        with pytest.raises(ResourceLimit):
+            superpoly_jm([1] * 7, mode=mode)
 
 
 def test_series_by_a_with_a_in_the_denominator():
     q, a = LaurentPoly.var(REG_QA, "q"), LaurentPoly.var(REG_QA, "a")
     one = LaurentPoly.const(REG_QA, 1)
     # 1/(1 - a q) = sum a^k q^k: the a-exponents must not merge
-    assert _series_by_a(one, one - a * q, "q", 3) == {
-        k: {k: 1} for k in range(4)}
+    series = RatFunc(one, [one - a * q]).series_qt(3, "q")
+    assert series.coefficients_in("a") == {k: q ** k for k in range(4)}
     # lowest q-degree part 1 - a is not one monomial
     with pytest.raises(ValueError):
-        _series_by_a(one, one - a + q, "q", 3)
+        RatFunc(one, [one - a + q]).series_qt(3, "q")
 
 
 def test_zeta_kernel():
@@ -245,6 +246,22 @@ def test_four_box_residue_mode():
     assert r2.reduced == s2.reduced
 
 
+def test_residue_equals_tableau_at_five_boxes():
+    """The two modes print the same reduced character on a seeded sample
+    of 5-box vectors with entries 0-2.
+
+    They share the atom-pair cancellation (``Term.cancel_pairs``), the
+    conversion ``term_to_ratfunc`` and the tree ``RatFunc.sum``.  They
+    differ in how the terms are made: residue chains, counted against the
+    tableaux by ``_tableau_chains``, against direct substitution of each
+    tableau (``syt_term``)."""
+    grid = list(itertools.product(range(3), repeat=4))
+    for vec in random.Random(5).sample(grid, 8):
+        r = superpoly_jm(list(vec), mode="residue")
+        s = superpoly_jm(list(vec), mode="syt")
+        assert str(r.reduced) == str(s.reduced), vec
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_syt_term_cancels_pairs(n):
     """Tableau terms leave no matched num/den pair and no vanishing atom."""
@@ -257,9 +274,9 @@ def test_syt_term_cancels_pairs(n):
 
 
 def test_five_box_tableau_mode():
-    """Residue mode stops at four boxes, so five boxes are checked against
-    oracles that do not need it: a polynomial, symmetric under Q <-> T
-    (tableau transposition), vanishing at a = -1 (box 1 carries 1 + a)."""
+    """Five boxes checked against oracles that need neither sum: a
+    polynomial, symmetric under Q <-> T (tableau transposition), vanishing
+    at a = -1 (box 1 carries 1 + a)."""
     ch = superpoly_jm([1, 1, 1, 1], mode="syt")
     rf = ch.reduced
     reg = rf.registry

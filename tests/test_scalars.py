@@ -217,7 +217,7 @@ def test_ratfunc_cancels_only_when_asked():
         assert total.den == [h] and total.num == num
     # unreduced() divides by (1 - Q)^n without cancelling, even where the
     # reduced numerator holds 1 - Q
-    ch = Character(2, (1,), "residue", RatFunc(f * g, [h]), 2)
+    ch = Character(2, (1,), "residue", RatFunc(f * g, [h]))
     u = ch.unreduced()
     assert u.den == [h, f, f] and u.num == f * g
     assert u * f ** 2 == ch.reduced
