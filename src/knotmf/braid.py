@@ -37,21 +37,11 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        """Image of i, 1-indexed."""
-        return self.images[i - 1] + 1
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise ValueError("size mismatch")
         return Permutation(tuple(self.images[other.images[i]]
                                  for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        im = [0] * self.n
-        for i, v in enumerate(self.images):
-            im[v] = i
-        return Permutation(tuple(im))
 
     def right_s(self, i: int) -> "Permutation":
         """self * s_i (precompose with the transposition)."""
@@ -96,15 +86,6 @@ class Permutation:
                 i = self.images[i]
             out.append(tuple(cyc))
         return out
-
-    def fixes(self, i: int) -> bool:
-        return self.images[i - 1] == i - 1
-
-    def restrict(self, n: int) -> "Permutation":
-        """Restriction to the first n strands; requires them to be stable."""
-        if any(self.images[i] >= n for i in range(n)):
-            raise ValueError("does not restrict")
-        return Permutation(tuple(self.images[:n]))
 
 
 @dataclass(frozen=True)

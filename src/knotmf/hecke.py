@@ -11,13 +11,22 @@ strands (one z per coset step of ``_trace_basis``).  The closure invariant
 multiplies back the loop value D = (a - a^{-1})/s per strand and
 a^{-writhe}.
 
-One kernel, ``_right_mul``, multiplies raw rows {permutation images:
-{q exponent: int}} by g_i or g_i^{-1} in place; every product and the trace
-cache go through it, and ``from_braid`` wraps ``LaurentPoly``s only once at
-the end, keying q^e by e * 2^16 as ``REG_QA`` packs it.  The rows keep
-plain exponents: keys that are all multiples of 2^16 share their low bits,
-so their dict probes collide (under cProfile the kernel spent about 20 %
-longer in dict lookups on them).
+One kernel works on packed rows {permutation images: int}: a coefficient
+f in Z[q^+-1] is held as q^o f(q) at q = 2^B (Kronecker substitution), o
+making every exponent nonnegative.  Evaluation at 2^B is a ring
+homomorphism, so products (``_right_mul``) and trace sums (``_z_expansion``)
+are a few big-int operations per row, and a result unpacks exactly when
+its coefficients satisfy |c| < 2^(B-1).  Width rule: with |x| the l1 norm
+of all coefficients, |f g| <= |f| |g|, and a letter at most triples |x|
+(it sends c T_w to c T_{w s_i} plus at most c (q - q^{-1}) T_w).  With
+E_n = (n-1)(n-2)/2, every tr T_w on n strands has norm at most 3^E_n and
+q-exponents in [-E_n, E_n], by induction over ``_trace_basis``:
+tr T_w = z tr(g_j ... g_{n-2} T_v), whose n - 1 - j <= n - 2 = E_n - E_{n-1}
+left factors each at most triple the norm and widen the exponent range by
+one.  So the trace of x times L letters has coefficients at most
+|x| 3^(L + E_n), and B is the first multiple of 4 (for hex digits) past
+that bound's bit length.
+
 Since a - a^{-1} = a u, D = a u / s, so the closure value
 D^n a^{-writhe} sum_k P_k z^k is a^{n - writhe} sum_k P_k s^k u^{n-k} / s^n:
 K <= n - 1 keeps u out of the denominator.  ``homflypt`` builds that integer
@@ -31,8 +40,7 @@ from functools import lru_cache
 from math import comb
 
 from .braid import BraidWord, Permutation
-from .ring import (KEY_BITS, KEY_MASK, LaurentPoly, QQ, as_coeff,
-                   checked_span)
+from .ring import KEY_BITS, KEY_MASK, LaurentPoly, QQ, checked_span
 from .scalars import REG_QA, s_reduce
 
 
@@ -89,18 +97,26 @@ class HeckeElement:
     def _mul_letter(self, i: int, inverse: bool) -> "HeckeElement":
         if not 1 <= i <= self.n - 1:
             raise ValueError("generator index out of range")
-        return _element(self.n, _right_mul(_rows(self), i, inverse))
+        (rows,), width, offset = _rows(3, self)
+        return _element(self.n, _right_mul(rows, i, inverse, width), width,
+                        offset + 1)
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
         if self.n != other.n:
             raise ValueError("strand mismatch")
-        total = HeckeElement(self.n)
-        for wim, c in other.terms.items():
-            rows = _rows(self.scale(c))
-            for i in Permutation(wim).reduced_word():
-                rows = _right_mul(rows, i, False)
-            total = total + _element(self.n, rows)
-        return total
+        words = {w: Permutation(w).reduced_word() for w in other.terms}
+        top = max(map(len, words.values()), default=0)
+        (rows, right), width, offset = _rows(3 ** top, self, other)
+        total: dict = {}
+        for w, c in right.items():
+            # c q^(top - l(w)) T_w: every term ends at the same offset
+            shift = width * (top - len(words[w]))
+            part = {v: r * c << shift for v, r in rows.items()}
+            for i in words[w]:
+                part = _right_mul(part, i, False, width)
+            for v, r in part.items():
+                total[v] = total.get(v, 0) + r
+        return _element(self.n, total, width, 2 * offset + top)
 
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
@@ -123,73 +139,95 @@ class HeckeElement:
 
 
 # ---------------------------------------------------------------------------
-# Raw rows {permutation images: {q exponent: coefficient}} and the kernel
+# Packed rows {permutation images: f(2^B)} and the kernel
 
 
-def _rows(x: HeckeElement) -> dict:
-    """Fresh raw rows of x; a coefficient holding a raises ``ValueError``."""
-    rows = {}
-    for w, c in x.terms.items():
-        # a REG_QA key is q * 2^16 + a
-        if c.registry != REG_QA or any(e & KEY_MASK for e in c.terms):
-            raise ValueError(f"Hecke coefficient {c} is not in Z[q^+-1]")
-        rows[w] = {e >> KEY_BITS: v for e, v in c.terms.items()}
-    return rows
+def _width(bound: int) -> int:
+    """Digit width B, a multiple of 4, with 2^(B-1) > ``bound``."""
+    return (bound.bit_length() + 4) & ~3
+
+
+def _trace_degree(n: int) -> int:
+    """E_n of the width rule in the module docstring."""
+    return (n - 1) * (n - 2) // 2
+
+
+def _pack(terms, width: int, offset: int) -> int:
+    """f(2^width) for f = q^offset * sum c q^e over the (e, c) ``terms``."""
+    return sum(c << width * (e + offset) for e, c in terms)
+
+
+def _unpack(packed: int, width: int, offset: int) -> dict[int, int]:
+    """{e: c} of q^-offset f(q), increasing in e, for packed = f(2^width):
+    low zero digits shift off, then a bias of 2^(width-1) makes hex digits."""
+    low = max((packed & -packed).bit_length() - 1, 0) // width
+    packed >>= low * width
+    h, half = width // 4, 1 << (width - 1)
+    zero, d = format(half, "x"), abs(packed).bit_length() // width + 1
+    hexed = format(packed + int(zero * d, 16), "x").zfill(h * d)
+    chunks = (hexed[h * (d - 1 - e):h * (d - e)] for e in range(d))
+    return {e + low - offset: int(c, 16) - half
+            for e, c in enumerate(chunks) if c != zero}
+
+
+def _rows(factor: int, *xs: HeckeElement) -> tuple[list, int, int]:
+    """Packed rows of each x at one width and offset, for results of norm
+    at most ``factor`` times the product of the |x|.  A coefficient outside
+    Z[q^+-1] (holding a, or not an integer) raises ``ValueError``."""
+    polys = []
+    for x in xs:
+        for c in x.terms.values():
+            # a REG_QA key is q * 2^16 + a
+            if c.registry != REG_QA or any(e & KEY_MASK or type(v) is not int
+                                           for e, v in c.terms.items()):
+                raise ValueError(f"Hecke coefficient {c} is not in Z[q^+-1]")
+        polys.append({w: [(e >> KEY_BITS, v) for e, v in c.terms.items()]
+                      for w, c in x.terms.items()})
+        factor *= sum(abs(v) for t in polys[-1].values() for _, v in t)
+    offset = max([0] + [-e for p in polys for t in p.values() for e, _ in t])
+    width = _width(factor)
+    return ([{w: _pack(t, width, offset) for w, t in p.items()}
+             for p in polys], width, offset)
+
+
+def _element(n: int, rows: dict, width: int, offset: int) -> HeckeElement:
+    return HeckeElement(n, {w: _qpoly_raw(_unpack(r, width, offset))
+                            for w, r in rows.items() if r})
 
 
 def _qpoly_raw(row: dict) -> LaurentPoly:
     span = checked_span(max(map(abs, row), default=0))
-    return LaurentPoly._raw(REG_QA, {e << KEY_BITS: as_coeff(v)
-                                     for e, v in row.items() if v}, span)
+    return LaurentPoly._raw(REG_QA, {e << KEY_BITS: c for e, c in row.items()},
+                            span)
 
 
-def _element(n: int, rows: dict) -> HeckeElement:
-    return HeckeElement(n, {w: _qpoly_raw(row) for w, row in rows.items()})
-
-
-def _acc(row: dict, c: dict, shift: int, sign: int) -> None:
-    """row += sign * q^shift * c in place, dropping zeros."""
-    get = row.get
-    for e, v in c.items():
-        e += shift
-        t = get(e, 0) + sign * v
-        if t:
-            row[e] = t
-        else:
-            del row[e]
-
-
-def _right_mul(rows: dict, i: int, inverse: bool) -> dict:
-    """rows * g_i, or rows * g_i^{-1} if ``inverse``; consumes ``rows``.
+def _right_mul(rows: dict, i: int, inverse: bool, width: int) -> dict:
+    """q rows g_i, or q rows g_i^{-1} if ``inverse``, on packed rows.
 
     g_i sends c T_w to c T_{w s_i}, plus c (q - q^-1) T_w on a descent
     w(i) > w(i+1); g_i^{-1} = g_i - (q - q^-1) instead subtracts
-    c (q - q^-1) T_w on an ascent.  Input rows become output accumulators.
+    c (q - q^-1) T_w on an ascent.  Times q, r goes to r << B at T_{w s_i}
+    and (r << 2B) - r is added or subtracted at T_w.  Rows may cancel to 0.
     """
     out: dict = {}
     get = out.get
-    for w, c in rows.items():
+    for w, r in rows.items():
         x, y = w[i - 1], w[i]
-        if (x > y) is not inverse:
-            row = get(w)
-            if row is None:
-                row = out[w] = {}
-            _acc(row, c, 1, -1 if inverse else 1)
-            _acc(row, c, -1, 1 if inverse else -1)
         ws = w[:i - 1] + (y, x) + w[i + 1:]
-        row = get(ws)
-        if row is None:
-            out[ws] = c
-        else:
-            _acc(row, c, 0, 1)
-    return {w: row for w, row in out.items() if row}
+        up = r << width
+        out[ws] = get(ws, 0) + up
+        if (x > y) is not inverse:
+            s = (up << width) - r
+            out[w] = get(w, 0) - s if inverse else get(w, 0) + s
+    return out
 
 
-def _braid_rows(n: int, letters) -> dict:
-    """Raw rows of the product of the signed generators ``letters``."""
-    rows = {tuple(range(n)): {0: 1}}
+def _braid_rows(n: int, letters, width: int) -> dict:
+    """Packed rows of q^len(letters) times the product of the signed
+    generators ``letters``."""
+    rows = {tuple(range(n)): 1}
     for a in letters:
-        rows = _right_mul(rows, abs(a), a < 0)
+        rows = _right_mul(rows, abs(a), a < 0, width)
     return rows
 
 
@@ -199,62 +237,65 @@ def gen_image(i: int, n: int) -> HeckeElement:
 
 
 def from_braid(b: BraidWord) -> HeckeElement:
-    return _element(b.strands, _braid_rows(b.strands, b.letters))
+    width = _width(3 ** len(b))
+    return _element(b.strands, _braid_rows(b.strands, b.letters, width),
+                    width, len(b))
 
 
 # ---------------------------------------------------------------------------
 # Ocneanu-Jones trace
 
 
-def _coset_cycle(n: int, j: int) -> Permutation:
-    """s_j s_{j+1} ... s_{n-1} composed left to right (word order)."""
-    p = Permutation.identity(n)
-    for i in range(j, n):
-        p = p * Permutation.transposition(n, i)
-    return p
-
-
 @lru_cache(maxsize=None)
-def _trace_basis(images: tuple[int, ...]) -> tuple[dict[int, int], ...]:
+def _trace_basis(images: tuple[int, ...]) -> tuple[tuple, ...]:
     """z-expansion (P_0, ..., P_K) of tr T_w = sum_k P_k(q) z^k, each P_k
-    a raw {q exponent: int} dict that callers must not change.  Each coset
-    step contributes one z, so K <= n - 1 on n strands."""
-    n = len(images)
+    the (q exponent, int) pairs of its nonzero terms in increasing order,
+    so equal traces are equal tuples.  Each coset step contributes one z,
+    so K <= n - 1 on n strands."""
+    n, j = len(images), images[-1] + 1  # j = w(n)
     if n == 1:
-        return ({0: 1},)
-    w = Permutation(images)
-    if w.fixes(n):
-        return _trace_basis(w.restrict(n - 1).images)
-    j = w(n)
-    c = _coset_cycle(n, j)
-    v = c.inverse() * w
-    if not v.fixes(n) or w.length() != (n - j) + v.length():
-        raise AssertionError("coset decomposition failed")
-    # T_w = (g_j ... g_{n-2}) g_{n-1} T_v, so tr T_w = z tr(g_j..g_{n-2} T_v)
-    word = tuple(range(j, n - 1)) + v.restrict(n - 1).reduced_word()
-    rest = _z_expansion(_braid_rows(n - 1, word), n - 1)
-    return ({},) + tuple({e: t for e, t in p.items() if t} for p in rest)
+        return (((0, 1),),)
+    if j == n:
+        return _trace_basis(images[:-1])
+    # w = (s_j ... s_{n-1}) v, lengths adding, with v = w minus its last
+    # entry, renumbered, so T_w = (g_j ... g_{n-2}) g_{n-1} T_v and
+    # tr T_w = z tr(g_j ... g_{n-2} T_v), of norm at most 3^(n-1-j)
+    v = Permutation(tuple(x - (x >= j) for x in images[:-1]))
+    rest = _word_trace(n - 1, tuple(range(j, n - 1)) + v.reduced_word(),
+                       3 ** (n - 1 - j))
+    return ((),) + tuple(tuple(p.items()) for p in rest)
 
 
-def _z_expansion(rows: dict, n: int) -> list[dict[int, int]]:
-    """Raw P_k of tr x = sum_k P_k(q) z^k, summed over the basis of the
-    n-strand rows; entries may be zero.  Raises ``AssertionError`` past
-    n coefficients, the bound the u-free closure relies on."""
-    out: list[dict] = []
-    for w, c in rows.items():
-        for k, p in enumerate(_trace_basis(w)):
-            if k == len(out):
-                out.append({})
-            acc = out[k]
-            get = acc.get
-            for e1, c1 in c.items():
-                for e2, c2 in p.items():
-                    e = e1 + e2
-                    acc[e] = get(e, 0) + c1 * c2
-    if len(out) > n:
-        raise AssertionError(f"z-expansion of degree {len(out) - 1} "
+def _z_expansion(rows: dict, n: int, width: int,
+                 offset: int) -> list[dict[int, int]]:
+    """Raw P_k of tr x = sum_k P_k(q) z^k for the packed n-strand rows of
+    x (entries may be empty): rows of equal basis traces are summed, then
+    each sum takes one product per P_k.  Raises ``AssertionError`` past n
+    coefficients, the bound the u-free closure relies on."""
+    groups: dict = {}
+    get = groups.get
+    for w, r in rows.items():
+        t = _trace_basis(w)
+        groups[t] = get(t, 0) + r
+    size = max(map(len, groups), default=0)
+    if size > n:
+        raise AssertionError(f"z-expansion of degree {size - 1} "
                              f"on {n} strands")
-    return out
+    e = _trace_degree(n)
+    out = [0] * size
+    for t, r in groups.items():
+        for k, p in enumerate(t):
+            if p:
+                out[k] += r * _pack(p, width, e)
+    return [_unpack(v, width, offset + e) for v in out]
+
+
+def _word_trace(n: int, letters, norm: int) -> list[dict[int, int]]:
+    """Raw z-expansion of the trace of the product of the signed
+    generators ``letters`` on n strands, of norm at most ``norm``."""
+    width = _width(norm * 3 ** _trace_degree(n))
+    return _z_expansion(_braid_rows(n, letters, width), n, width,
+                        len(letters))
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +337,8 @@ def trace_ocneanu(x: HeckeElement) -> tuple[LaurentPoly, ...]:
     q-polynomial in ``REG_QA``; trailing zeros are trimmed, so equal traces
     give equal tuples and the trace of 0 is ().
     """
-    coeffs = [_qpoly_raw(p) for p in _z_expansion(_rows(x), x.n)]
+    (rows,), width, offset = _rows(3 ** _trace_degree(x.n), x)
+    coeffs = [_qpoly_raw(p) for p in _z_expansion(rows, x.n, width, offset)]
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     return tuple(coeffs)
@@ -382,6 +424,6 @@ def homflypt(b: BraidWord) -> InvariantValue:
     with no u denominator: one integer numerator, reduced by s only.
     """
     n = b.strands
-    coeffs = _z_expansion(_braid_rows(n, b.letters), n)
+    coeffs = _word_trace(n, b.letters, 3 ** len(b.letters))
     return InvariantValue(_closure_num(coeffs, n, n - b.writhe()), n)
 

@@ -641,10 +641,8 @@ def homfly_crosscheck(jm_exponents: list[int], n: int) -> dict:
     p_series = RatFunc(invariant.num, [S_ATOM ** invariant.s_exp]).series_qt(
         SERIES_ORDER, "q")
     # Q = q^2 and the calibration's q^n: Q-degree k lands on q-degree
-    # 2k + n, so the Q-series stops where that passes SERIES_ORDER.  One
-    # denominator factor expands faster than one geometric series each.
-    den = math.prod(spec.den, start=LaurentPoly.const(reg, 1))
-    c_series = RatFunc(spec.num, [den]).series_qt((SERIES_ORDER - n) // 2, "Q")
+    # 2k + n, so the Q-series stops where that passes SERIES_ORDER.
+    c_series = spec.series_qt((SERIES_ORDER - n) // 2, "Q")
     c_series = c_series.substitute({"Q": LaurentPoly.var(REG_QA, "q", 2)},
                                    REG_QA)
     shift = LaurentPoly.monomial(REG_QA, {"q": n, "a": n - w}, QQ(-1) ** n)

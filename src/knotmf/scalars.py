@@ -15,6 +15,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -178,12 +179,13 @@ class RatFunc:
     def series_qt(self, order: int, *names: str) -> LaurentPoly:
         """Expansion up to total degree ``order`` in the variables ``names``.
 
-        The other variables are coefficients.  The lowest-degree part of
-        every denominator factor f must be one monomial c*m, of any degree;
-        then f = c*m*(1 - g) with every term of g of positive degree, and
-        1/f = (c*m)^-1 * sum_k g^k.  Each geometric sum runs as far as the
-        valuation of the rest of the product requires, so a numerator of
-        negative degree loses nothing below ``order``.
+        The other variables are coefficients.  The factors are multiplied
+        into one denominator f, whose lowest-degree part (the product of
+        theirs) must be one monomial c*m, of any degree; then
+        f = c*m*(1 - g) with every term of g of positive degree, and
+        1/f = (c*m)^-1 * sum_k g^k.  The geometric sum runs as far as the
+        valuation of the rest requires, so a numerator of negative degree
+        loses nothing below ``order``.
         """
         reg = self.registry
         shifts = [reg.shifts[reg.index(name)] for name in names]
@@ -197,30 +199,27 @@ class RatFunc:
             return LaurentPoly._raw(reg, {e: c for e, c in p.terms.items()
                                           if deg(e) <= top}, p.span)
 
-        out, tails = self.num, []
-        for f in self.den:
-            low = min(map(deg, f.terms))
-            lead = [(e, c) for e, c in f.terms.items() if deg(e) == low]
-            if len(lead) != 1:
-                raise ValueError(f"factor {f} has no single lowest-degree "
-                                 f"monomial in {', '.join(names)}")
-            minv = LaurentPoly._raw(reg, dict(lead), f.span) ** -1
-            out = out * minv
-            tails.append(LaurentPoly.const(reg, 1) - f * minv)
-        out = trunc(out, order)
+        one = LaurentPoly.const(reg, 1)
+        f = math.prod(self.den, start=one)
+        low = min(map(deg, f.terms))
+        lead = [(e, c) for e, c in f.terms.items() if deg(e) == low]
+        if len(lead) != 1:
+            raise ValueError(f"denominator {f} has no single lowest-degree "
+                             f"monomial in {', '.join(names)}")
+        minv = LaurentPoly._raw(reg, dict(lead), f.span) ** -1
+        out = trunc(self.num * minv, order)
         if out.is_zero():
             return out
-        # the factors 1/(1 - g) have degree >= 0: they need terms up to this
+        # 1/(1 - g) has degree >= 0: it needs terms up to this degree
         top = order - min(map(deg, out.terms))
-        for g in tails:
-            inv = power = LaurentPoly.const(reg, 1)
-            for _ in range(top):
-                power = trunc(power * g, top)
-                if power.is_zero():
-                    break
-                inv = inv + power
-            out = trunc(out * inv, order)
-        return out
+        g = one - f * minv
+        inv = power = one
+        for _ in range(top):
+            power = trunc(power * g, top)
+            if power.is_zero():
+                break
+            inv = inv + power
+        return trunc(out * inv, order)
 
     def __str__(self):
         if not self.den:

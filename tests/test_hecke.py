@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -137,6 +139,171 @@ def test_kernel_matches_reference_multiplication():
         assert x == ref  # the kernel works on copies of x's coefficients
 
 
+# ---------------------------------------------------------------------------
+# Reference trace: the dict kernel on rows {permutation images: {q exponent:
+# int}}, with the Ocneanu trace by the coset recursion
+
+
+def _ref_acc(row, c, shift, sign):
+    """row += sign * q^shift * c in place, dropping zeros."""
+    for e, v in c.items():
+        t = row.get(e + shift, 0) + sign * v
+        if t:
+            row[e + shift] = t
+        else:
+            del row[e + shift]
+
+
+def _ref_right_mul(rows, i, inverse):
+    """rows * g_i, or rows * g_i^-1 if ``inverse``, on dict rows."""
+    out = {}
+    for w, c in rows.items():
+        x, y = w[i - 1], w[i]
+        if (x > y) is not inverse:
+            row = out.setdefault(w, {})
+            _ref_acc(row, c, 1, -1 if inverse else 1)
+            _ref_acc(row, c, -1, 1 if inverse else -1)
+        _ref_acc(out.setdefault(w[:i - 1] + (y, x) + w[i + 1:], {}), c, 0, 1)
+    return {w: row for w, row in out.items() if row}
+
+
+def _ref_braid_rows(n, letters):
+    rows = {tuple(range(n)): {0: 1}}
+    for a in letters:
+        rows = _ref_right_mul(rows, abs(a), a < 0)
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_trace_basis(images):
+    """z-expansion of tr T_w as dicts: w = c v with c = s_j ... s_{n-1},
+    v fixing n and l(w) = (n - j) + l(v), so
+    tr T_w = z tr(g_j ... g_{n-2} T_v)."""
+    n = len(images)
+    if n == 1:
+        return ({0: 1},)
+    j = images[-1] + 1
+    if j == n:
+        return _ref_trace_basis(images[:-1])
+    c = Permutation.identity(n)
+    for i in range(j, n):
+        c = c * Permutation.transposition(n, i)
+    c_inv = [0] * n
+    for i, x in enumerate(c.images):
+        c_inv[x] = i
+    v = Permutation(tuple(c_inv[x] for x in images))
+    assert v.images[-1] == n - 1
+    assert Permutation(images).length() == (n - j) + v.length()
+    word = tuple(range(j, n - 1)) + Permutation(v.images[:-1]).reduced_word()
+    return ({},) + tuple(_ref_z_expansion(_ref_braid_rows(n - 1, word)))
+
+
+def _ref_z_expansion(rows):
+    out = []
+    for w, c in rows.items():
+        for k, p in enumerate(_ref_trace_basis(w)):
+            if k == len(out):
+                out.append({})
+            for e1, c1 in c.items():
+                for e2, c2 in p.items():
+                    out[k][e1 + e2] = out[k].get(e1 + e2, 0) + c1 * c2
+    return [{e: v for e, v in p.items() if v} for p in out]
+
+
+def _ref_trace(rows):
+    """The reference z-expansion as ``trace_ocneanu`` returns it."""
+    coeffs = [qpoly(p) for p in _ref_z_expansion(rows)]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _ref_homflypt(b):
+    """D^n a^-writhe tr(b) from the reference trace, with D z = a."""
+    n, num = b.strands, LaurentPoly.zero(REG_QA)
+    for k, p in enumerate(_ref_trace(_ref_braid_rows(n, b.letters))):
+        num = num + p * LOOP ** (n - k) * S_ATOM ** k * A ** (k - b.writhe())
+    return InvariantValue(num, n)
+
+
+def _differential_braids():
+    for n in range(1, 7):
+        yield full_twist(n)
+    for e in ((1, 1, 1, 1), (1, 2, 1, 2), (2, 1, 2, 1), (2, 2, 2, 2)):
+        yield jm_power_braid(list(e), 5)
+    rng = random.Random("packed kernel against the dict kernel")
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        yield BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                                 for _ in range(rng.randint(0, 16) if n > 1
+                                                else 0)))
+
+
+def test_trace_basis_matches_reference():
+    """The packed trace basis equals the dict coset recursion on every
+    permutation of 1-6 strands."""
+    for n in range(1, 7):
+        for images in itertools.permutations(range(n)):
+            got = tuple(dict(p) for p in _trace_basis(images))
+            assert got == _ref_trace_basis(images)
+
+
+def test_packed_trace_matches_reference():
+    """trace_ocneanu(from_braid(b)) and homflypt(b) against the dict
+    kernel on the full twists 1-6, the four 5-strand tower braids and 300
+    seeded braids on 1-6 strands with 0-16 letters of both signs."""
+    for b in _differential_braids():
+        rows = _ref_braid_rows(b.strands, b.letters)
+        assert trace_ocneanu(from_braid(b)) == _ref_trace(rows)
+        p, ref = homflypt(b), _ref_homflypt(b)
+        assert p == ref and str(p) == str(ref)
+
+
+def _random_element(rng, n):
+    terms = {}
+    for w in rng.sample(list(itertools.permutations(range(n))),
+                        rng.randint(1, min(8, math.factorial(n)))):
+        terms[w] = qpoly({rng.randint(-6, 6): rng.randint(-2 ** 80, 2 ** 80)
+                          for _ in range(rng.randint(1, 4))})
+    return HeckeElement(n, terms)
+
+
+def test_packed_kernel_on_wide_coefficients():
+    """trace_ocneanu, mul_gen and products against the references on
+    random elements of 2-5 strands with coefficients up to 2^80 and
+    q-exponents in [-6, 6], so the width comes from the input norms."""
+    rng = random.Random("wide coefficients")
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        x, y = _random_element(rng, n), _random_element(rng, n)
+        rows = {w: {k[0]: v for k, v in c.decoded().items()}
+                for w, c in x.terms.items()}
+        assert trace_ocneanu(x) == _ref_trace(rows)
+        i = rng.randint(1, n - 1)
+        assert x.mul_gen(i) == _ref_mul_gen(x, i)
+        assert x.mul_gen_inv(i) == _ref_mul_gen(x, i, True)
+        ref = HeckeElement(n)
+        for w, c in y.terms.items():
+            part = x.scale(c)
+            for j in Permutation(w).reduced_word():
+                part = _ref_mul_gen(part, j)
+            ref = ref + part
+        assert x * y == ref
+
+
+def test_powers_of_one_generator():
+    """from_braid(sigma_1^k) for k = 0..120 against g^(k+1) =
+    b_k + (a_k + s b_k) g, where g^k = a_k + b_k g: the width passes 64
+    bits at k = 40, and at k = 120 a packed row holds about 240 digits of
+    192 bits."""
+    s = qpoly({1: QQ(1), -1: QQ(-1)})
+    a, b = qpoly({0: QQ(1)}), qpoly({})
+    for k in range(121):
+        assert from_braid(BraidWord(2, (1,) * k)) == HeckeElement(
+            2, {(0, 1): a, (1, 0): b})
+        a, b = b, a + s * b
+
+
 def test_trace_basis_degree_is_below_strand_count():
     """tr T_w has z-degree at most n - 1 on n strands, so the closure
     numerator of homflypt needs no u denominator."""
@@ -176,15 +343,18 @@ def test_homflypt_is_loop_values_times_trace():
 
 
 def test_coefficient_with_a_is_rejected():
-    x = HeckeElement.basis(2, Permutation.identity(2), qa_poly({(1, 1): QQ(1)}))
-    with pytest.raises(ValueError):
-        x.mul_gen(1)
-    with pytest.raises(ValueError):
-        x.mul_gen_inv(1)
-    with pytest.raises(ValueError):
-        HeckeElement.unit(2) * x
-    with pytest.raises(ValueError):
-        trace_ocneanu(x)
+    """A coefficient holding a, or a non-integer one (the packed rows hold
+    Z[q^+-1] only), raises in every kernel entry point."""
+    for c in (qa_poly({(1, 1): QQ(1)}), qpoly({0: QQ(1, 2)})):
+        x = HeckeElement.basis(2, Permutation.identity(2), c)
+        with pytest.raises(ValueError):
+            x.mul_gen(1)
+        with pytest.raises(ValueError):
+            x.mul_gen_inv(1)
+        with pytest.raises(ValueError):
+            HeckeElement.unit(2) * x
+        with pytest.raises(ValueError):
+            trace_ocneanu(x)
 
 
 def test_trace_normalization_and_markov():
@@ -380,3 +550,17 @@ def test_trace_invariants_golden():
     if os.environ.get("KNOTMF_REGOLD") == "1":
         path.write_text(out)
     assert path.read_text() == out, "golden mismatch for trace invariants"
+
+
+def test_full_twist7_golden():
+    """str() and a_coefficients() of homflypt(full_twist(7)), pinned
+    verbatim: 42 letters on 5,040 rows, one past the CLI strand cap."""
+    b = full_twist(7)
+    p = homflypt(b)
+    out = json.dumps({"name": "full_twist(7)", "braid": b.to_json(),
+                      "homflypt": str(p),
+                      "a_coefficients": p.a_coefficients()}, indent=1) + "\n"
+    path = GOLDEN / "full_twist7.json"
+    if os.environ.get("KNOTMF_REGOLD") == "1":
+        path.write_text(out)
+    assert path.read_text() == out, "golden mismatch for full_twist(7)"
